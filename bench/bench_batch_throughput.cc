@@ -230,10 +230,18 @@ int main(int argc, char** argv) {
   Row("%-10s %12s %12s %12s %12s %8s %8s", "model", "scalar_e/s", "node_e/s",
       "flat_e/s", "parallel_e/s", "flat/nd", "par_x");
   for (const ModelResult& m : results) {
-    Row("%-10s %12.0f %12.0f %12.0f %12.0f %7.2fx %7.2fx", m.name.c_str(),
-        m.scalar.evals_per_sec, m.has_node ? m.node.evals_per_sec : 0.0,
-        m.batched.evals_per_sec, m.parallel.evals_per_sec,
-        m.has_node ? m.batched.evals_per_sec / m.node.evals_per_sec : 0.0,
+    // A model without a node reference prints "-" in both node columns,
+    // as the JSON omits those fields.
+    char node_eps[32] = "-";
+    char flat_vs_node[32] = "-";
+    if (m.has_node) {
+      std::snprintf(node_eps, sizeof(node_eps), "%.0f", m.node.evals_per_sec);
+      std::snprintf(flat_vs_node, sizeof(flat_vs_node), "%.2fx",
+                    m.batched.evals_per_sec / m.node.evals_per_sec);
+    }
+    Row("%-10s %12.0f %12s %12.0f %12.0f %8s %7.2fx", m.name.c_str(),
+        m.scalar.evals_per_sec, node_eps, m.batched.evals_per_sec,
+        m.parallel.evals_per_sec, flat_vs_node,
         m.parallel.evals_per_sec / m.scalar.evals_per_sec);
     if (m.max_abs_diff != 0.0) {
       std::fprintf(stderr, "FAIL: %s batched output differs from scalar "

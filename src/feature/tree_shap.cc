@@ -1,5 +1,6 @@
 #include "feature/tree_shap.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "math/combinatorics.h"
@@ -16,11 +17,23 @@ struct PathElement {
   double w;     // Permutation weight accumulated so far.
 };
 
-/// Grows the path by one split, updating permutation weights.
-void Extend(std::vector<PathElement>* m, double pz, double po, int pi) {
-  const int l = static_cast<int>(m->size());
-  m->push_back({pi, pz, po, l == 0 ? 1.0 : 0.0});
-  auto& p = *m;
+/// Path arena (the layout of Lundberg et al.'s reference code). The
+/// recursion level at a node owns one slice of a single buffer: it starts
+/// at the parent's slice + parent's path length + 1 and holds a copy of the
+/// parent's path, which this level then extends and unwinds in place. The
+/// parent's slice is never written below it, so its second child starts
+/// from the same path as the first. A node at depth k holds at most k + 1
+/// elements, so a tree of max depth D needs (D + 2)(D + 3) / 2 elements —
+/// allocated once per explain call, never inside the recursion.
+size_t PathArenaSize(int max_depth) {
+  const size_t d = static_cast<size_t>(max_depth);
+  return (d + 2) * (d + 3) / 2;
+}
+
+/// Grows the path of `l` elements by one split, updating permutation
+/// weights.
+void Extend(PathElement* p, int l, double pz, double po, int pi) {
+  p[l] = {pi, pz, po, l == 0 ? 1.0 : 0.0};
   for (int i = l - 1; i >= 0; --i) {
     p[i + 1].w += po * p[i].w * static_cast<double>(i + 1) /
                   static_cast<double>(l + 1);
@@ -29,129 +42,130 @@ void Extend(std::vector<PathElement>* m, double pz, double po, int pi) {
   }
 }
 
-/// Total permutation weight if element `idx` were removed (without
-/// mutating the path).
-double UnwoundSum(const std::vector<PathElement>& m, size_t idx) {
-  const int l = static_cast<int>(m.size()) - 1;
+/// Total permutation weight of the path of `len` elements if element `idx`
+/// were removed (without mutating the path).
+double UnwoundSum(const PathElement* m, int len, int idx) {
+  const int l = len - 1;
   const double one = m[idx].one;
   const double zero = m[idx].zero;
-  double next = m[static_cast<size_t>(l)].w;
+  double next = m[l].w;
   double total = 0.0;
   for (int i = l - 1; i >= 0; --i) {
     if (one != 0.0) {
       const double tmp = next * static_cast<double>(l + 1) /
                          (static_cast<double>(i + 1) * one);
       total += tmp;
-      next = m[static_cast<size_t>(i)].w -
-             tmp * zero * static_cast<double>(l - i) /
-                 static_cast<double>(l + 1);
+      next = m[i].w - tmp * zero * static_cast<double>(l - i) /
+                          static_cast<double>(l + 1);
     } else {
-      total += m[static_cast<size_t>(i)].w / zero *
-               static_cast<double>(l + 1) / static_cast<double>(l - i);
+      total += m[i].w / zero * static_cast<double>(l + 1) /
+               static_cast<double>(l - i);
     }
   }
   return total;
 }
 
-/// Removes element `idx` from the path, restoring weights.
-void Unwind(std::vector<PathElement>* m, size_t idx) {
-  auto& p = *m;
-  const int l = static_cast<int>(p.size()) - 1;
+/// Removes element `idx` from the path of `len` elements, restoring
+/// weights; the path then holds len - 1 elements.
+void Unwind(PathElement* p, int len, int idx) {
+  const int l = len - 1;
   const double one = p[idx].one;
   const double zero = p[idx].zero;
-  double next = p[static_cast<size_t>(l)].w;
+  double next = p[l].w;
   for (int i = l - 1; i >= 0; --i) {
     if (one != 0.0) {
-      const double tmp = p[static_cast<size_t>(i)].w;
-      p[static_cast<size_t>(i)].w = next * static_cast<double>(l + 1) /
-                                    (static_cast<double>(i + 1) * one);
-      next = tmp - p[static_cast<size_t>(i)].w * zero *
-                       static_cast<double>(l - i) /
+      const double tmp = p[i].w;
+      p[i].w = next * static_cast<double>(l + 1) /
+               (static_cast<double>(i + 1) * one);
+      next = tmp - p[i].w * zero * static_cast<double>(l - i) /
                        static_cast<double>(l + 1);
     } else {
-      p[static_cast<size_t>(i)].w = p[static_cast<size_t>(i)].w *
-                                    static_cast<double>(l + 1) /
-                                    (zero * static_cast<double>(l - i));
+      p[i].w = p[i].w * static_cast<double>(l + 1) /
+               (zero * static_cast<double>(l - i));
     }
   }
-  for (size_t i = idx; i < static_cast<size_t>(l); ++i) {
+  for (int i = idx; i < l; ++i) {
     p[i].feature = p[i + 1].feature;
     p[i].zero = p[i + 1].zero;
     p[i].one = p[i + 1].one;
   }
-  p.pop_back();
 }
 
-void Recurse(const Tree& tree, const std::vector<double>& x,
-             std::vector<double>* phi, int node,
-             std::vector<PathElement> path,  // By value: one copy per call.
-             double pz, double po, int pi) {
-  Extend(&path, pz, po, pi);
-  const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-  if (nd.is_leaf()) {
-    for (size_t i = 1; i < path.size(); ++i) {
-      const double w = UnwoundSum(path, i);
-      (*phi)[static_cast<size_t>(path[i].feature)] +=
-          w * (path[i].one - path[i].zero) * nd.value;
-    }
-    return;
+/// A node-object Tree behind FlatEnsemble's accessor names, so one
+/// recursion serves the reference walker and the flat one.
+struct NodeView {
+  const Tree& tree;
+  const TreeNode& at(int32_t i) const {
+    return tree.nodes[static_cast<size_t>(i)];
   }
-  const bool go_left = x[static_cast<size_t>(nd.feature)] <= nd.threshold;
-  const int hot = go_left ? nd.left : nd.right;
-  const int cold = go_left ? nd.right : nd.left;
-  const double hot_z =
-      tree.nodes[static_cast<size_t>(hot)].cover / nd.cover;
-  const double cold_z =
-      tree.nodes[static_cast<size_t>(cold)].cover / nd.cover;
-  double iz = 1.0;
-  double io = 1.0;
-  size_t k = 1;
-  while (k < path.size() && path[k].feature != nd.feature) ++k;
-  if (k < path.size()) {
-    iz = path[k].zero;
-    io = path[k].one;
-    Unwind(&path, k);
-  }
-  Recurse(tree, x, phi, hot, path, iz * hot_z, io, nd.feature);
-  Recurse(tree, x, phi, cold, path, iz * cold_z, 0.0, nd.feature);
-}
+  bool is_leaf(int32_t i) const { return at(i).is_leaf(); }
+  int feature(int32_t i) const { return at(i).feature; }
+  double threshold(int32_t i) const { return at(i).threshold; }
+  int32_t left(int32_t i) const { return at(i).left; }
+  int32_t right(int32_t i) const { return at(i).right; }
+  double value(int32_t i) const { return at(i).value; }
+  double cover(int32_t i) const { return at(i).cover; }
+};
 
-/// The same recursion over the compiled SoA arrays: node reads become
-/// indexed loads, the path-weight arithmetic is untouched, so every phi it
-/// produces is the same double as the node-based Recurse above.
-void FlatRecurse(const FlatEnsemble& ens, const double* x,
-                 std::vector<double>* phi, int32_t node,
-                 std::vector<PathElement> path,  // By value, as above.
-                 double pz, double po, int pi) {
-  Extend(&path, pz, po, pi);
-  if (ens.is_leaf(node)) {
-    const double leaf_value = ens.value(node);
-    for (size_t i = 1; i < path.size(); ++i) {
-      const double w = UnwoundSum(path, i);
-      (*phi)[static_cast<size_t>(path[i].feature)] +=
-          w * (path[i].one - path[i].zero) * leaf_value;
+/// Path-dependent TreeSHAP below `node`: `parent` is the caller's slice of
+/// the path arena, holding `parent_len` elements. Adds the node's
+/// contributions into phi and returns the value of the leaf reached along
+/// the all-hot path — the tree's prediction on x, by the same `<=`
+/// routing the predictors use.
+template <typename TreeT>
+double Recurse(const TreeT& tree, const double* x, double* phi, int32_t node,
+               PathElement* parent, int parent_len, double pz, double po,
+               int pi) {
+  PathElement* path = parent + parent_len + 1;
+  std::copy(parent, parent + parent_len, path);
+  Extend(path, parent_len, pz, po, pi);
+  int len = parent_len + 1;
+  if (tree.is_leaf(node)) {
+    const double leaf_value = tree.value(node);
+    for (int i = 1; i < len; ++i) {
+      const double w = UnwoundSum(path, len, i);
+      phi[path[i].feature] += w * (path[i].one - path[i].zero) * leaf_value;
     }
-    return;
+    return leaf_value;
   }
-  const int feature = ens.feature(node);
+  const int feature = tree.feature(node);
   const bool go_left =
-      x[static_cast<size_t>(feature)] <= ens.threshold(node);
-  const int32_t hot = go_left ? ens.left(node) : ens.right(node);
-  const int32_t cold = go_left ? ens.right(node) : ens.left(node);
-  const double node_cover = ens.cover(node);
-  const double hot_z = ens.cover(hot) / node_cover;
-  const double cold_z = ens.cover(cold) / node_cover;
+      x[static_cast<size_t>(feature)] <= tree.threshold(node);
+  const int32_t hot = go_left ? tree.left(node) : tree.right(node);
+  const int32_t cold = go_left ? tree.right(node) : tree.left(node);
+  const double node_cover = tree.cover(node);
+  const double hot_z = tree.cover(hot) / node_cover;
+  const double cold_z = tree.cover(cold) / node_cover;
   double iz = 1.0;
   double io = 1.0;
-  size_t k = 1;
-  while (k < path.size() && path[k].feature != feature) ++k;
-  if (k < path.size()) {
+  int k = 1;
+  while (k < len && path[k].feature != feature) ++k;
+  if (k < len) {
     iz = path[k].zero;
     io = path[k].one;
-    Unwind(&path, k);
+    Unwind(path, len, k);
+    --len;
   }
-  FlatRecurse(ens, x, phi, hot, path, iz * hot_z, io, feature);
-  FlatRecurse(ens, x, phi, cold, path, iz * cold_z, 0.0, feature);
+  const double hot_value =
+      Recurse(tree, x, phi, hot, path, len, iz * hot_z, io, feature);
+  Recurse(tree, x, phi, cold, path, len, iz * cold_z, 0.0, feature);
+  return hot_value;
+}
+
+/// Tree t's contributions added into phi, walking within `arena` (at least
+/// PathArenaSize(ens.depth(t)) elements); returns tree t's leaf value on x.
+double FlatTreeShap(const FlatEnsemble& ens, size_t t, const double* x,
+                    PathElement* arena, double* phi) {
+  XAI_OBS_COUNT("feature.tree_shap.path_walks");
+  return Recurse(ens, x, phi, ens.root(t), arena, 0, 1.0, 1.0, -1);
+}
+
+/// One arena big enough for every tree of the ensemble.
+size_t EnsembleArenaSize(const FlatEnsemble& ens) {
+  int depth = 0;
+  for (size_t t = 0; t < ens.num_trees(); ++t)
+    depth = std::max(depth, ens.depth(t));
+  return PathArenaSize(depth);
 }
 
 }  // namespace
@@ -159,13 +173,15 @@ void FlatRecurse(const FlatEnsemble& ens, const double* x,
 void TreeShapValues(const Tree& tree, const std::vector<double>& x,
                     std::vector<double>* phi) {
   XAI_OBS_COUNT("feature.tree_shap.path_walks");
-  Recurse(tree, x, phi, 0, {}, 1.0, 1.0, -1);
+  std::vector<PathElement> arena(PathArenaSize(tree.MaxDepth()));
+  Recurse(NodeView{tree}, x.data(), phi->data(), 0, arena.data(), 0, 1.0,
+          1.0, -1);
 }
 
 void FlatTreeShapValues(const FlatEnsemble& ensemble, size_t t,
                         const double* x, std::vector<double>* phi) {
-  XAI_OBS_COUNT("feature.tree_shap.path_walks");
-  FlatRecurse(ensemble, x, phi, ensemble.root(t), {}, 1.0, 1.0, -1);
+  std::vector<PathElement> arena(PathArenaSize(ensemble.depth(t)));
+  FlatTreeShap(ensemble, t, x, arena.data(), phi->data());
 }
 
 std::vector<double> EnsembleTreeShap(const std::vector<Tree>& trees,
@@ -214,8 +230,9 @@ double TreePathGame::Value(const std::vector<bool>& in_coalition) const {
 
 TreeShapExplainer::TreeShapExplainer(const GradientBoostedTrees& gbdt,
                                      const Schema& schema)
-    : flat_(&gbdt.flat()), scale_(gbdt.learning_rate()),
-      num_features_(gbdt.num_features()), schema_(schema) {
+    : flat_(&gbdt.flat()), arena_size_(EnsembleArenaSize(*flat_)),
+      scale_(gbdt.learning_rate()), num_features_(gbdt.num_features()),
+      schema_(schema) {
   base_ = gbdt.base_score();
   for (size_t t = 0; t < flat_->num_trees(); ++t)
     base_ += gbdt.learning_rate() * flat_->expected_value(t);
@@ -223,14 +240,14 @@ TreeShapExplainer::TreeShapExplainer(const GradientBoostedTrees& gbdt,
 
 TreeShapExplainer::TreeShapExplainer(const DecisionTree& tree,
                                      const Schema& schema)
-    : flat_(&tree.flat()), scale_(1.0), num_features_(tree.num_features()),
-      schema_(schema) {
+    : flat_(&tree.flat()), arena_size_(EnsembleArenaSize(*flat_)),
+      scale_(1.0), num_features_(tree.num_features()), schema_(schema) {
   base_ = flat_->expected_value(0);
 }
 
 TreeShapExplainer::TreeShapExplainer(const RandomForest& forest,
                                      const Schema& schema)
-    : flat_(&forest.flat()),
+    : flat_(&forest.flat()), arena_size_(EnsembleArenaSize(*flat_)),
       scale_(1.0 / static_cast<double>(forest.trees().size())),
       num_features_(forest.num_features()), schema_(schema) {
   base_ = 0.0;
@@ -247,14 +264,15 @@ Result<FeatureAttribution> TreeShapExplainer::Explain(
   FeatureAttribution out;
   out.values.assign(num_features_, 0.0);
   std::vector<double> tree_phi(num_features_, 0.0);
+  std::vector<PathElement> arena(arena_size_);
   double margin = base_;
   for (size_t t = 0; t < flat_->num_trees(); ++t) {
     std::fill(tree_phi.begin(), tree_phi.end(), 0.0);
-    FlatTreeShapValues(*flat_, t, instance.data(), &tree_phi);
+    const double leaf = FlatTreeShap(*flat_, t, instance.data(),
+                                     arena.data(), tree_phi.data());
     for (size_t j = 0; j < num_features_; ++j)
       out.values[j] += scale_ * tree_phi[j];
-    margin += scale_ * (flat_->PredictTree(t, instance.data()) -
-                        flat_->expected_value(t));
+    margin += scale_ * (leaf - flat_->expected_value(t));
   }
   for (size_t j = 0; j < num_features_; ++j)
     out.feature_names.push_back(schema_.feature(j).name);
@@ -281,19 +299,22 @@ Result<std::vector<FeatureAttribution>> TreeShapExplainer::ExplainBatch(
   // Tree-outer / row-inner: one tree's flat arrays serve the whole row
   // block before the next tree is touched. Per row the accumulation order
   // over trees is unchanged, so values match the per-row loop bit-for-bit.
-  // The per-tree expected value is a precomputed array read, and rows are
-  // walked straight out of the Matrix buffer (no per-row copy).
+  // The per-tree expected value is a precomputed array read, rows are
+  // walked straight out of the Matrix buffer (no per-row copy), one path
+  // arena serves every (tree, row) walk, and each margin term is the leaf
+  // the walker reached along the all-hot path (no second traversal).
   std::vector<double> tree_phi(num_features_, 0.0);
+  std::vector<PathElement> arena(arena_size_);
   for (size_t t = 0; t < flat_->num_trees(); ++t) {
     const double expected = flat_->expected_value(t);
     for (size_t i = 0; i < n; ++i) {
-      const double* r = instances.RowPtr(i);
       std::fill(tree_phi.begin(), tree_phi.end(), 0.0);
-      FlatTreeShapValues(*flat_, t, r, &tree_phi);
+      const double leaf = FlatTreeShap(*flat_, t, instances.RowPtr(i),
+                                       arena.data(), tree_phi.data());
       std::vector<double>& phi = out[i].values;
       for (size_t j = 0; j < num_features_; ++j)
         phi[j] += scale_ * tree_phi[j];
-      margins[i] += scale_ * (flat_->PredictTree(t, r) - expected);
+      margins[i] += scale_ * (leaf - expected);
     }
   }
 

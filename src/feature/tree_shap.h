@@ -25,6 +25,12 @@ namespace xai {
 /// This node-object walker is the *reference* implementation; the serving
 /// path is FlatTreeShapValues below, which runs the same Extend/Unwind
 /// recursion over the compiled SoA arrays and is verified bit-identical.
+///
+/// The recursion keeps its unique-feature path in one arena allocated per
+/// call: each level copies its parent's path (at most depth + 1 elements)
+/// into its own slice, which starts at the parent's slice + the parent's
+/// path length + 1, so a tree of max depth D needs (D + 2)(D + 3) / 2 path
+/// elements and no recursion level allocates.
 void TreeShapValues(const Tree& tree, const std::vector<double>& x,
                     std::vector<double>* phi);
 
@@ -33,7 +39,9 @@ void TreeShapValues(const Tree& tree, const std::vector<double>& x,
 /// (feature, threshold, children, cover, leaf value) is an index into the
 /// flat arrays — prediction and explanation share one memory layout.
 /// Bit-identical to TreeShapValues on the tree the ensemble was compiled
-/// from.
+/// from. Allocates one path arena sized from `ensemble.depth(t)`;
+/// TreeShapExplainer instead reuses one arena across all trees and rows of
+/// an Explain/ExplainBatch call.
 void FlatTreeShapValues(const FlatEnsemble& ensemble, size_t t,
                         const double* x, std::vector<double>* phi);
 
@@ -70,8 +78,12 @@ class TreePathGame : public CoalitionGame {
 ///
 /// Walks the model's compiled FlatEnsemble — the same SoA arrays serving
 /// prediction — and reads the per-tree expected values precomputed at
-/// compile time (no per-explain leaf rescans). The model must outlive the
-/// explainer.
+/// compile time (no per-explain leaf rescans). Each Explain/ExplainBatch
+/// call allocates one TreeSHAP path arena, sized for the deepest tree, and
+/// reuses it for every (tree, row) walk; the prediction is assembled from
+/// the leaves those walks reach, with no second traversal. The explainer
+/// holds no mutable state, so distinct calls may run concurrently. The
+/// model must outlive the explainer.
 class TreeShapExplainer : public AttributionExplainer {
  public:
   explicit TreeShapExplainer(const GradientBoostedTrees& gbdt,
@@ -92,6 +104,7 @@ class TreeShapExplainer : public AttributionExplainer {
 
  private:
   const FlatEnsemble* flat_ = nullptr;
+  size_t arena_size_ = 0;  // Path elements for the deepest tree.
   double scale_ = 1.0;
   double base_ = 0.0;
   size_t num_features_ = 0;

@@ -15,7 +15,9 @@ Result<DecisionTree> DecisionTree::Fit(const Dataset& ds,
   return FromParts(FitRegressionTree(ds.x(), ds.y(), config), ds.d());
 }
 
-DecisionTree DecisionTree::FromParts(Tree tree, size_t num_features) {
+Result<DecisionTree> DecisionTree::FromParts(Tree tree,
+                                             size_t num_features) {
+  XAI_RETURN_NOT_OK(tree.Validate(num_features));
   DecisionTree m;
   m.tree_ = std::move(tree);
   m.flat_ = FlatEnsemble::Compile(m.tree_);
@@ -73,8 +75,10 @@ Result<RandomForest> RandomForest::Fit(const Dataset& ds,
   return FromParts(std::move(trees), ds.d());
 }
 
-RandomForest RandomForest::FromParts(std::vector<Tree> trees,
-                                     size_t num_features) {
+Result<RandomForest> RandomForest::FromParts(std::vector<Tree> trees,
+                                             size_t num_features) {
+  if (trees.empty()) return Status::InvalidArgument("forest has no trees");
+  for (const Tree& t : trees) XAI_RETURN_NOT_OK(t.Validate(num_features));
   RandomForest m;
   m.trees_ = std::move(trees);
   m.flat_ = FlatEnsemble::Compile(m.trees_);

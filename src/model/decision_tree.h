@@ -22,8 +22,9 @@ class DecisionTree : public Model {
   static Result<DecisionTree> Fit(const Dataset& ds,
                                   const TreeConfig& config = {});
   /// Reconstructs a fitted tree from its parts (deserialization) and
-  /// compiles the flat runtime form.
-  static DecisionTree FromParts(Tree tree, size_t num_features);
+  /// compiles the flat runtime form. A tree that fails Tree::Validate is
+  /// rejected with InvalidArgument.
+  static Result<DecisionTree> FromParts(Tree tree, size_t num_features);
 
   double Predict(const std::vector<double>& x) const override;
   /// Row-blocked flat-array traversal (bit-identical to Predict per row).
@@ -56,8 +57,10 @@ class RandomForest : public Model {
 
   static Result<RandomForest> Fit(const Dataset& ds, const Options& opts = Options());
   /// Reconstructs a fitted forest from its parts (deserialization) and
-  /// compiles the flat runtime form.
-  static RandomForest FromParts(std::vector<Tree> trees, size_t num_features);
+  /// compiles the flat runtime form. Rejects an empty forest or any tree
+  /// that fails Tree::Validate with InvalidArgument.
+  static Result<RandomForest> FromParts(std::vector<Tree> trees,
+                                        size_t num_features);
 
   double Predict(const std::vector<double>& x) const override;
   /// Tree-outer / row-inner flat traversal (bit-identical to Predict).

@@ -102,9 +102,10 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
   return m;
 }
 
-GradientBoostedTrees GradientBoostedTrees::FromParts(
+Result<GradientBoostedTrees> GradientBoostedTrees::FromParts(
     std::vector<Tree> trees, double base_score, double learning_rate,
     Loss loss, size_t num_features) {
+  for (const Tree& t : trees) XAI_RETURN_NOT_OK(t.Validate(num_features));
   GradientBoostedTrees m;
   m.trees_ = std::move(trees);
   m.flat_ = FlatEnsemble::Compile(m.trees_);

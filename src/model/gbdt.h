@@ -45,10 +45,12 @@ class GradientBoostedTrees : public Model {
   static Result<GradientBoostedTrees> Fit(const Dataset& ds,
                                           const Options& opts = Options());
   /// Reconstructs a fitted ensemble from its parts (deserialization).
-  static GradientBoostedTrees FromParts(std::vector<Tree> trees,
-                                        double base_score,
-                                        double learning_rate, Loss loss,
-                                        size_t num_features);
+  /// Rejects any tree that fails Tree::Validate with InvalidArgument.
+  static Result<GradientBoostedTrees> FromParts(std::vector<Tree> trees,
+                                                double base_score,
+                                                double learning_rate,
+                                                Loss loss,
+                                                size_t num_features);
 
   /// Probability for logistic loss, value for squared loss.
   double Predict(const std::vector<double>& x) const override;

@@ -41,6 +41,8 @@ void WriteTree(std::ofstream& out, const Tree& tree) {
   }
 }
 
+// Reads one tree's nodes. Its structure is checked by Tree::Validate in the
+// FromParts every tree loader returns through.
 Result<Tree> ReadTree(std::ifstream& in) {
   std::string kw;
   size_t n_nodes = 0;

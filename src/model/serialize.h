@@ -20,8 +20,10 @@ namespace xai {
 /// Lets a trained model move between processes (train once, explain
 /// elsewhere) without any binary compatibility concerns.
 ///
-/// Tree models round-trip through `FromParts`, which recompiles the
-/// FlatEnsemble serving form — a loaded model predicts and explains
+/// Tree models round-trip through `FromParts`, which rejects a malformed
+/// tree (no nodes, a child link that is out of range or points backwards,
+/// a split feature >= num_features) with InvalidArgument and recompiles
+/// the FlatEnsemble serving form — a loaded model predicts and explains
 /// bit-identically to the one that was saved.
 
 /// Saves any built-in model through its base-class reference, dispatching

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "data/binned.h"
 #include "model/hist_learner.h"
@@ -47,6 +48,35 @@ int Tree::MaxDepth() const {
     }
   }
   return max_depth;
+}
+
+Status Tree::Validate(size_t num_features) const {
+  if (nodes.empty()) return Status::InvalidArgument("tree has no nodes");
+  const size_t n = nodes.size();
+  auto bad = [](size_t i, const std::string& what) {
+    return Status::InvalidArgument("tree node " + std::to_string(i) + ": " +
+                                   what);
+  };
+  std::vector<bool> has_parent(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    const TreeNode& nd = nodes[i];
+    if (nd.is_leaf()) continue;
+    if (static_cast<size_t>(nd.feature) >= num_features)
+      return bad(i, "split feature " + std::to_string(nd.feature) +
+                        " out of range");
+    for (const int child : {nd.left, nd.right}) {
+      if (child < 0 || static_cast<size_t>(child) <= i ||
+          static_cast<size_t>(child) >= n)
+        return bad(i, "child index " + std::to_string(child) +
+                          " must lie in (" + std::to_string(i) + ", " +
+                          std::to_string(n) + ")");
+      if (has_parent[static_cast<size_t>(child)])
+        return bad(i, "node " + std::to_string(child) +
+                          " already has a parent");
+      has_parent[static_cast<size_t>(child)] = true;
+    }
+  }
+  return Status::OK();
 }
 
 size_t Tree::NumLeaves() const {

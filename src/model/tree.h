@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "math/matrix.h"
 
 namespace xai {
@@ -45,6 +46,15 @@ struct Tree {
                        std::vector<double>* out) const;
   int MaxDepth() const;
   size_t NumLeaves() const;
+
+  /// Structural check for trees that did not come from a fit (artifacts,
+  /// hand-built parts): at least one node; every internal node splits on a
+  /// feature < num_features and has two in-range children, each with a
+  /// larger index than its parent and no other parent. Forward-only child
+  /// links make the tree acyclic with depth < nodes.size(), so MaxDepth,
+  /// traversal and the TreeSHAP path arena sized from it all terminate.
+  /// Fitted trees are built in pre-order and always pass.
+  Status Validate(size_t num_features) const;
 
   /// Expected prediction under the tree's own training distribution
   /// (cover-weighted average of leaf values) — the "background" value

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -300,6 +301,96 @@ TEST(FlatTree, ForestAndDtreeSerializationRoundTrip) {
   EXPECT_FALSE(LoadDecisionTree(fpath).ok());
   std::remove(fpath.c_str());
   std::remove(dpath.c_str());
+}
+
+/// Appends, in pre-order, a subtree whose first child always grows to
+/// `levels_left` more levels and whose second child grows further on a
+/// coin flip, so deep paths keep meeting internal siblings. Level k splits
+/// on `feature_at(k)`. Leaf covers are drawn and every internal cover is
+/// the sum of its children's, as a fit produces. Returns the node's cover.
+template <typename FeatureAt>
+double Grow(Tree* tree, int level, int levels_left, Rng* rng,
+            const FeatureAt& feature_at) {
+  const size_t self = tree->nodes.size();
+  tree->nodes.emplace_back();
+  if (levels_left == 0) {
+    tree->nodes[self].value = rng->Uniform(-1.0, 1.0);
+    tree->nodes[self].cover = static_cast<double>(1 + rng->NextInt(9));
+    return tree->nodes[self].cover;
+  }
+  tree->nodes[self].feature = feature_at(level);
+  tree->nodes[self].threshold = rng->Uniform(-1.0, 1.0);
+  const bool deep_left = rng->NextInt(2) == 0;
+  const int sibling_levels = rng->NextInt(2) == 0 ? levels_left - 1 : 0;
+  tree->nodes[self].left = static_cast<int>(tree->nodes.size());
+  double cover = Grow(tree, level + 1,
+                      deep_left ? levels_left - 1 : sibling_levels, rng,
+                      feature_at);
+  tree->nodes[self].right = static_cast<int>(tree->nodes.size());
+  cover += Grow(tree, level + 1,
+                deep_left ? sibling_levels : levels_left - 1, rng,
+                feature_at);
+  tree->nodes[self].cover = cover;
+  return cover;
+}
+
+TEST(FlatTree, PathArenaReusedAcrossDeepShallowAndLeafTrees) {
+  // One TreeSHAP path arena serves every tree and row of an explain call.
+  // A depth-14 tree that splits on one feature at every level (Unwind at
+  // every depth), a depth-14 tree over distinct features (the longest
+  // path the arena holds), then a depth-1 and a single-leaf tree that
+  // reuse the arena the deep trees left dirty.
+  constexpr size_t kDims = 16;
+  Dataset ds = MakeGaussianDataset(64, {.seed = 21, .dims = kDims});
+  Rng rng(5);
+  std::vector<Tree> trees(4);
+  Grow(&trees[0], 0, 14, &rng, [](int) { return 0; });
+  Grow(&trees[1], 0, 14, &rng, [](int level) { return level; });
+  Grow(&trees[2], 0, 1, &rng, [](int) { return 3; });
+  Grow(&trees[3], 0, 0, &rng, [](int) { return 0; });
+  ASSERT_EQ(trees[0].MaxDepth(), 14);
+  ASSERT_EQ(trees[1].MaxDepth(), 14);
+  auto gbdt = GradientBoostedTrees::FromParts(trees, 0.25, 0.5,
+                                              GbdtLoss::kSquared, kDims);
+  ASSERT_TRUE(gbdt.ok()) << gbdt.status().ToString();
+  const FlatEnsemble& flat = gbdt->flat();
+  ASSERT_EQ(flat.depth(0), 14);
+  ASSERT_EQ(flat.depth(3), 0);
+
+  for (size_t i = 0; i < ds.n(); ++i) {
+    const std::vector<double> x = ds.row(i);
+    for (size_t t = 0; t < trees.size(); ++t) {
+      std::vector<double> node_phi(kDims, 0.0);
+      std::vector<double> flat_phi(kDims, 0.0);
+      TreeShapValues(trees[t], x, &node_phi);
+      FlatTreeShapValues(flat, t, x.data(), &flat_phi);
+      for (size_t j = 0; j < kDims; ++j)
+        EXPECT_EQ(flat_phi[j], node_phi[j]) << "row " << i << " tree " << t;
+    }
+  }
+
+  TreeShapExplainer explainer(*gbdt, ds.schema());
+  auto batch = explainer.ExplainBatch(ds.x());
+  ASSERT_TRUE(batch.ok());
+  for (size_t i = 0; i < ds.n(); ++i) {
+    const std::vector<double> x = ds.row(i);
+    auto solo = explainer.Explain(x);
+    ASSERT_TRUE(solo.ok());
+    const FeatureAttribution& b = (*batch)[i];
+    EXPECT_EQ(b.base_value, solo->base_value) << "row " << i;
+    EXPECT_EQ(b.prediction, solo->prediction) << "row " << i;
+    const std::vector<double> reference =
+        EnsembleTreeShap(trees, gbdt->learning_rate(), kDims, x);
+    double sum = 0.0;
+    for (size_t j = 0; j < kDims; ++j) {
+      EXPECT_EQ(b.values[j], solo->values[j]) << "row " << i;
+      EXPECT_EQ(b.values[j], reference[j]) << "row " << i;
+      sum += b.values[j];
+    }
+    const double margin = gbdt->PredictMargin(x);
+    EXPECT_LE(std::fabs(b.base_value + sum - margin), 1e-9) << "row " << i;
+    EXPECT_LE(std::fabs(b.prediction - margin), 1e-9) << "row " << i;
+  }
 }
 
 }  // namespace

@@ -97,5 +97,101 @@ TEST(Serialize, RejectsGarbage) {
   std::remove(path.c_str());
 }
 
+// Malformed tree artifacts: every one must come back as a typed
+// InvalidArgument from the loader, never an overflow, a hang or a null
+// dereference.
+Result<std::unique_ptr<Model>> LoadArtifact(const std::string& body) {
+  const std::string path = "/tmp/xai_model_hand_written_tree.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(("xaidb_model v1\n" + body).c_str(), f);
+    std::fclose(f);
+  }
+  auto loaded = LoadAnyModel(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(Serialize, RejectsOutOfRangeChildIndex) {
+  // Child index 7 in a 3-node tree.
+  const Status st = LoadArtifact(
+      "type dtree\nnum_features 2\ntree 3\n"
+      "0 0.5 1 7 0 10\n-1 0 -1 -1 1 5\n-1 0 -1 -1 2 5\n").status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+TEST(Serialize, RejectsRootThatIsItsOwnChild) {
+  const Status st = LoadArtifact(
+      "type dtree\nnum_features 2\ntree 3\n"
+      "0 0.5 0 2 0 10\n-1 0 -1 -1 1 5\n-1 0 -1 -1 2 5\n").status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+}
+
+TEST(Serialize, RejectsEmptyTree) {
+  const Status dtree =
+      LoadArtifact("type dtree\nnum_features 2\ntree 0\n").status();
+  EXPECT_EQ(dtree.code(), StatusCode::kInvalidArgument) << dtree.ToString();
+  const Status gbdt = LoadArtifact(
+      "type gbdt\nloss logistic\nbase_score 0\nlearning_rate 0.1\n"
+      "num_features 2\nnum_trees 1\ntree 0\n").status();
+  EXPECT_EQ(gbdt.code(), StatusCode::kInvalidArgument) << gbdt.ToString();
+}
+
+TEST(Serialize, RejectsBackwardLinkFeatureRangeAndSharedChild) {
+  // A child pointing back at an earlier node would allow a cycle.
+  EXPECT_EQ(LoadArtifact("type forest\nnum_features 2\nnum_trees 1\n"
+                         "tree 3\n0 0.5 1 2 0 10\n1 0.5 0 2 1 5\n"
+                         "-1 0 -1 -1 2 5\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Split feature 2 of a 2-feature model.
+  EXPECT_EQ(LoadArtifact("type dtree\nnum_features 2\ntree 3\n"
+                         "2 0.5 1 2 0 10\n-1 0 -1 -1 1 5\n"
+                         "-1 0 -1 -1 2 5\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Both links of the root name the same child.
+  EXPECT_EQ(LoadArtifact("type dtree\nnum_features 2\ntree 3\n"
+                         "0 0.5 1 1 0 10\n-1 0 -1 -1 1 5\n"
+                         "-1 0 -1 -1 2 5\n")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // The well-formed version of the same tree loads and predicts.
+  auto loaded = LoadArtifact(
+      "type dtree\nnum_features 2\ntree 3\n"
+      "0 0.5 1 2 0 10\n-1 0 -1 -1 1 5\n-1 0 -1 -1 2 5\n");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->Predict({0.2, 0.0}), 1.0);
+  EXPECT_EQ((*loaded)->Predict({0.9, 0.0}), 2.0);
+}
+
+TEST(Serialize, FromPartsValidatesTrees) {
+  Tree cyclic;
+  cyclic.nodes.resize(3);
+  cyclic.nodes[0] = {.feature = 0, .threshold = 0.5, .left = 0, .right = 2,
+                     .value = 0.0, .cover = 10.0};
+  cyclic.nodes[1].value = 1.0;
+  cyclic.nodes[2].value = 2.0;
+  EXPECT_EQ(DecisionTree::FromParts(cyclic, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RandomForest::FromParts({cyclic}, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RandomForest::FromParts({}, 2).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(GradientBoostedTrees::FromParts({Tree{}}, 0.0, 0.1,
+                                            GbdtLoss::kLogistic, 2)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  Tree ok = cyclic;
+  ok.nodes[0].left = 1;
+  EXPECT_TRUE(ok.Validate(2).ok());
+  EXPECT_EQ(ok.Validate(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(DecisionTree::FromParts(ok, 2).ok());
+}
+
 }  // namespace
 }  // namespace xai
