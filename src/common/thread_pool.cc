@@ -1,73 +1,89 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
-#include <memory>
-#include <string>
+#include <map>
 
 #include "obs/trace.h"
 
 namespace xai {
 
 namespace {
-// Set inside WorkerLoop so a nested ParallelFor from within a chunk runs
-// inline instead of deadlocking on Wait() (a worker waiting for the queue
-// it is supposed to drain).
-thread_local bool t_in_pool_worker = false;
+// True while a thread runs chunks (for good, on pool workers), so a nested
+// ParallelFor from inside a chunk runs inline instead of waiting on the job
+// slot its own sweep holds.
+thread_local bool t_in_chunk = false;
 }  // namespace
 
+// One ParallelFor sweep, on its caller's stack. Chunk c always covers
+// [begin + c * chunk, min(end, begin + (c + 1) * chunk)), whichever
+// participant claims it from the cursor.
+struct ThreadPool::Job {
+  size_t begin, end, chunk, num_chunks;
+  const std::function<void(size_t)>& fn;
+  bool traced;
+  obs::TraceContext ctx;  // The caller's, installed around every chunk.
+  std::atomic<size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  // Written once, by whoever set `failed`.
+  size_t workers_in = 0;     // Guarded by ThreadPool::mu_.
+
+  // Claims and runs chunks until the cursor passes the end. First
+  // exception wins; the rest of the sweep still runs so every output slot
+  // the caller reduces over is written.
+  void RunChunks() {
+    for (size_t c = next++; c < num_chunks; c = next++) {
+      const size_t lo = begin + c * chunk, hi = std::min(end, lo + chunk);
+      try {
+        if (traced) {
+          obs::ScopedTraceContext install(ctx);
+          obs::ScopedTraceEvent event("pool_chunk");
+          for (size_t i = lo; i < hi; ++i) fn(i);
+        } else {
+          for (size_t i = lo; i < hi; ++i) fn(i);
+        }
+      } catch (...) {
+        if (!failed.exchange(true)) error = std::current_exception();
+      }
+    }
+  }
+};
+
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads <= 1) return;  // Inline mode: no workers.
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i)
-    threads_.emplace_back([this] { WorkerLoop(); });
+  // The calling thread is the last participant of every sweep.
+  for (size_t i = 1; i < num_threads; ++i)
+    workers_.emplace_back([this] { WorkerLoop(); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  if (threads_.empty()) {
-    task();
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push(std::move(task));
-    ++in_flight_;
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  if (threads_.empty()) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return in_flight_ == 0; });
+  cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_pool_worker = true;
+  t_in_chunk = true;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown_ with a drained queue.
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) done_cv_.notify_all();
-    }
+    // Only a publish, made under mu_, turns this true; claiming chunks
+    // outside the lock only turns it false, so no wake-up is lost.
+    cv_.wait(lock, [this] {
+      return shutdown_ || (job_ != nullptr && job_->next < job_->num_chunks);
+    });
+    if (shutdown_) return;
+    Job* job = job_;
+    ++job->workers_in;
+    lock.unlock();
+    job->RunChunks();
+    lock.lock();
+    // The owner takes its job out of the slot before it waits; once it
+    // has, the last worker to leave wakes it.
+    if (--job->workers_in == 0 && job_ != job) cv_.notify_all();
   }
 }
 
@@ -75,48 +91,37 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t chunk_size,
                              const std::function<void(size_t)>& fn) {
   if (begin >= end) return;
   if (chunk_size == 0) chunk_size = 1;
+  const size_t num_chunks = (end - begin - 1) / chunk_size + 1;
 
-  if (threads_.empty() || t_in_pool_worker) {
+  // Inline when there is nobody to share with: no workers, a nested call,
+  // one chunk, or another caller's sweep in the slot.
+  std::unique_lock<std::mutex> call;
+  if (!workers_.empty() && !t_in_chunk && num_chunks > 1)
+    call = std::unique_lock<std::mutex>(call_mu_, std::try_to_lock);
+  if (!call.owns_lock()) {
     for (size_t i = begin; i < end; ++i) fn(i);
     return;
   }
 
-  // Trace-context propagation: capture the caller's context once at the
-  // fan-out point and install it in every worker chunk, so chunk events
-  // (and anything the chunk body emits) carry the request's trace_id and
-  // parent onto the span that launched the sweep. One relaxed load when
-  // tracing is off.
+  // The caller's trace context, captured once at the fan-out and installed
+  // around every chunk. One relaxed load when tracing is off.
   const bool traced = obs::TraceEnabled();
-  const obs::TraceContext parent_ctx =
-      traced ? obs::CurrentTraceContext() : obs::TraceContext{};
-
-  // First exception wins; the rest of the sweep still runs so every
-  // output slot the caller reduces over is written.
-  std::atomic<bool> have_error{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-
-  for (size_t lo = begin; lo < end; lo += chunk_size) {
-    const size_t hi = std::min(end, lo + chunk_size);
-    Submit([&, lo, hi] {
-      try {
-        if (traced) {
-          obs::ScopedTraceContext install(parent_ctx);
-          obs::ScopedTraceEvent chunk("pool_chunk");
-          for (size_t i = lo; i < hi; ++i) fn(i);
-        } else {
-          for (size_t i = lo; i < hi; ++i) fn(i);
-        }
-      } catch (...) {
-        if (!have_error.exchange(true)) {
-          std::unique_lock<std::mutex> lock(error_mu);
-          error = std::current_exception();
-        }
-      }
-    });
+  Job job{begin, end, chunk_size, num_chunks, fn, traced,
+          traced ? obs::CurrentTraceContext() : obs::TraceContext{}};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = &job;
   }
-  Wait();
-  if (have_error.load()) std::rethrow_exception(error);
+  cv_.notify_all();
+  t_in_chunk = true;
+  job.RunChunks();
+  t_in_chunk = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    job_ = nullptr;
+    cv_.wait(lock, [&job] { return job.workers_in == 0; });
+  }
+  if (job.failed.load()) std::rethrow_exception(job.error);
 }
 
 namespace {
@@ -133,10 +138,6 @@ size_t EnvThreadCount() {
   return hw >= 1 ? hw : 1;
 }
 
-std::mutex g_pool_mu;
-std::unique_ptr<ThreadPool> g_pool;  // NOLINT: intentional process lifetime.
-size_t g_pool_size = 0;
-
 }  // namespace
 
 size_t GlobalThreadCount() {
@@ -149,14 +150,12 @@ void SetGlobalThreads(size_t n) {
 }
 
 ThreadPool& GlobalPool() {
+  // Never replaced or freed before exit, so a held reference cannot dangle.
+  static std::mutex mu;
+  static std::map<size_t, ThreadPool> pools;
   const size_t want = GlobalThreadCount();
-  std::unique_lock<std::mutex> lock(g_pool_mu);
-  if (!g_pool || g_pool_size != want) {
-    g_pool.reset();  // Join the old pool before replacing it.
-    g_pool = std::make_unique<ThreadPool>(want);
-    g_pool_size = want;
-  }
-  return *g_pool;
+  std::lock_guard<std::mutex> lock(mu);
+  return pools.try_emplace(want, want).first->second;
 }
 
 uint64_t ChunkSeed(uint64_t seed, uint64_t chunk_index) {

@@ -11,7 +11,8 @@ namespace xai {
 
 Result<DecisionTree> DecisionTree::Fit(const Dataset& ds,
                                        const TreeConfig& config) {
-  if (ds.n() == 0) return Status::InvalidArgument("DecisionTree: empty data");
+  XAI_RETURN_NOT_OK(
+      ValidateTrainingInput("DecisionTree", ds.x(), ds.y(), config.train));
   return FromParts(FitRegressionTree(ds.x(), ds.y(), config), ds.d());
 }
 
@@ -37,7 +38,8 @@ std::vector<double> DecisionTree::PredictBatch(const Matrix& x) const {
 
 Result<RandomForest> RandomForest::Fit(const Dataset& ds,
                                        const Options& opts) {
-  if (ds.n() == 0) return Status::InvalidArgument("RandomForest: empty data");
+  XAI_RETURN_NOT_OK(
+      ValidateTrainingInput("RandomForest", ds.x(), ds.y(), opts.tree.train));
   XAI_OBS_SPAN("train.fit_forest");
   TreeConfig cfg = opts.tree;
   if (cfg.max_features == 0) {
@@ -46,14 +48,10 @@ Result<RandomForest> RandomForest::Fit(const Dataset& ds,
   }
   // Quantize once; every tree of the forest shares the read-only codes.
   BinnedDataset binned;
-  bool hist = cfg.train.method == TrainMethod::kHist;
+  const bool hist = cfg.train.method == TrainMethod::kHist;
   if (hist) {
-    auto b = BinnedDataset::Build(ds.x(), cfg.train.max_bins);
-    if (b.ok()) {
-      binned = std::move(*b);
-    } else {
-      hist = false;
-    }
+    XAI_ASSIGN_OR_RETURN(binned,
+                         BinnedDataset::Build(ds.x(), cfg.train.max_bins));
   }
   // Per-tree ChunkSeed counter streams (PR 2 scheme): tree t's bootstrap
   // bag and feature-sampling stream depend only on (seed, t), never on

@@ -13,7 +13,8 @@ namespace xai {
 
 Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
                                                        const Options& opts) {
-  if (ds.n() == 0) return Status::InvalidArgument("GBDT: empty data");
+  XAI_RETURN_NOT_OK(
+      ValidateTrainingInput("GBDT", ds.x(), ds.y(), opts.tree.train));
   XAI_OBS_SPAN("train.fit_gbdt");
   const size_t n = ds.n();
   GradientBoostedTrees m;
@@ -24,14 +25,10 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
 
   // Quantize once; all rounds share the read-only bin codes.
   BinnedDataset binned;
-  bool hist = opts.tree.train.method == TrainMethod::kHist;
+  const bool hist = opts.tree.train.method == TrainMethod::kHist;
   if (hist) {
-    auto b = BinnedDataset::Build(ds.x(), opts.tree.train.max_bins);
-    if (b.ok()) {
-      binned = std::move(*b);
-    } else {
-      hist = false;
-    }
+    XAI_ASSIGN_OR_RETURN(
+        binned, BinnedDataset::Build(ds.x(), opts.tree.train.max_bins));
   }
 
   if (opts.loss == Loss::kLogistic) {

@@ -220,6 +220,28 @@ class TreeBuilder {
 
 }  // namespace
 
+Status ValidateTrainingInput(const char* model, const Matrix& x,
+                             const std::vector<double>& y,
+                             const TrainOptions& train) {
+  const std::string who(model);
+  if (x.rows() == 0) return Status::InvalidArgument(who + ": empty data");
+  if (train.method == TrainMethod::kHist &&
+      (train.max_bins < 2 || train.max_bins > 65536))
+    return Status::InvalidArgument(who + ": max_bins must be in [2, 65536]");
+  for (size_t i = 0; i < x.rows(); ++i) {
+    if (!std::isfinite(y[i]))
+      return Status::InvalidArgument(who + ": non-finite target at row " +
+                                     std::to_string(i));
+    const double* row = x.RowPtr(i);
+    for (size_t j = 0; j < x.cols(); ++j)
+      if (!std::isfinite(row[j]))
+        return Status::InvalidArgument(
+            who + ": non-finite feature " + std::to_string(j) + " at row " +
+            std::to_string(i));
+  }
+  return Status::OK();
+}
+
 Tree FitRegressionTree(const Matrix& x, const std::vector<double>& targets,
                        const TreeConfig& config,
                        const std::vector<double>* hessian_weights,

@@ -86,6 +86,14 @@ struct TrainOptions {
   bool hist_subtraction = true;
 };
 
+/// The check every tree-model Fit runs first: InvalidArgument, prefixed
+/// with `model`, for an empty table, a non-finite feature or target (NaN
+/// breaks the strict weak ordering the binning and exact-split sorts
+/// need), or a histogram fit whose max_bins is outside [2, 65536].
+Status ValidateTrainingInput(const char* model, const Matrix& x,
+                             const std::vector<double>& y,
+                             const TrainOptions& train);
+
 /// CART configuration.
 struct TreeConfig {
   int max_depth = 6;

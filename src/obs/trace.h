@@ -48,10 +48,10 @@ uint64_t TraceSampleEveryN();
 // Trace-context propagation. A TraceContext names the request a thread is
 // currently working for (trace_id) and the innermost open span (span_id,
 // the parent for events emitted now). The context is thread-local;
-// ThreadPool::ParallelFor captures the caller's context and installs it in
-// every worker chunk, and ExplanationService installs each request's
-// context around its sweep — that is what links one request's events
-// across threads.
+// ThreadPool::ParallelFor captures the caller's context and installs it
+// around every chunk, whichever thread runs it, and ExplanationService
+// installs each request's context around its sweep — that is what links
+// one request's events across threads.
 
 struct TraceContext {
   uint64_t trace_id = 0;  ///< 0 = not attributed to any sampled request.

@@ -1,18 +1,23 @@
 // Binned training pipeline: BinMapper/BinnedDataset quantization, the
 // histogram tree learner's parity with the exact sort-per-node oracle,
 // histogram subtraction, thread-count bit-identity, and the GBDT/forest
-// integration (`ctest -L train`; in the TSan CI job for the per-feature
-// ParallelFor sweeps).
+// integration, and the training-input check every tree fit runs first
+// (`ctest -L train`; in the TSan CI job for the per-feature ParallelFor
+// sweeps).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "data/binned.h"
+#include "data/csv.h"
 #include "data/synthetic.h"
 #include "model/decision_tree.h"
 #include "model/gbdt.h"
@@ -471,6 +476,64 @@ TEST(DecisionTree, HistDefaultMatchesExactOnSmallData) {
   ASSERT_TRUE(hist.ok());
   for (size_t i = 0; i < ds.n(); ++i)
     EXPECT_EQ(exact->Predict(ds.row(i)), hist->Predict(ds.row(i)));
+}
+
+/// Fits all three tree-model kinds on `ds` and expects each to refuse it
+/// with InvalidArgument instead of training (or silently switching
+/// learner).
+void ExpectEveryTreeFitRejects(const Dataset& ds, const TreeConfig& tree) {
+  auto dt = DecisionTree::Fit(ds, tree);
+  auto rf = RandomForest::Fit(ds, {.num_trees = 3, .tree = tree});
+  auto gb = GradientBoostedTrees::Fit(ds, {.num_rounds = 3, .tree = tree});
+  ASSERT_FALSE(dt.ok());
+  ASSERT_FALSE(rf.ok());
+  ASSERT_FALSE(gb.ok());
+  EXPECT_EQ(dt.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rf.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(gb.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(TrainingInput, NanFeatureIsRejected) {
+  Dataset ds = MakeIntegerDataset(200, 3, 61);
+  ds.mutable_x()(17, 1) = std::numeric_limits<double>::quiet_NaN();
+  ExpectEveryTreeFitRejects(ds, HistConfig(4, 5));
+  ExpectEveryTreeFitRejects(ds, ExactConfig(4, 5));
+}
+
+TEST(TrainingInput, InfiniteTargetIsRejected) {
+  Dataset ds = MakeIntegerDataset(200, 3, 62);
+  ds.mutable_y()[5] = std::numeric_limits<double>::infinity();
+  ExpectEveryTreeFitRejects(ds, HistConfig(4, 5));
+  ExpectEveryTreeFitRejects(ds, ExactConfig(4, 5));
+}
+
+TEST(TrainingInput, CsvNanCellIsRejectedAtFit) {
+  // strtod parses "nan", so the loader keeps the column numeric and hands
+  // the NaN on; the fit is where it has to stop.
+  const std::string path = ::testing::TempDir() + "xai_train_nan.csv";
+  {
+    std::ofstream out(path);
+    out << "a,b,target\n";
+    for (int i = 0; i < 40; ++i)
+      out << i << "," << (i == 7 ? "nan" : std::to_string(i % 5)) << ","
+          << (i % 2) << "\n";
+  }
+  auto ds = ReadCsv(path);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  ASSERT_TRUE(std::isnan(ds->x()(7, 1)));
+  ExpectEveryTreeFitRejects(*ds, HistConfig(3, 2));
+}
+
+TEST(TrainingInput, MaxBinsOutOfRangeIsRejectedNotFallenBack) {
+  // An invalid max_bins fails the fit instead of switching it to the exact
+  // learner.
+  Dataset ds = MakeIntegerDataset(200, 3, 63);
+  ExpectEveryTreeFitRejects(ds, HistConfig(4, 5, /*max_bins=*/1));
+  ExpectEveryTreeFitRejects(ds, HistConfig(4, 5, /*max_bins=*/65537));
+  // max_bins only matters to the histogram learner.
+  TreeConfig exact = ExactConfig(4, 5);
+  exact.train.max_bins = 1;
+  EXPECT_TRUE(DecisionTree::Fit(ds, exact).ok());
 }
 
 }  // namespace

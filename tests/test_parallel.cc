@@ -1,13 +1,16 @@
 // Tests for the batched evaluation pipeline and its determinism contract:
-// the ThreadPool itself (coverage, exceptions, nesting, shutdown), the
-// counter-based chunk seeding, batch-vs-scalar model equivalence, and the
-// headline guarantee — explainer output is bit-identical for any thread
-// count at a fixed seed. Build with -DXAIDB_SANITIZE=thread and run
+// the ThreadPool itself (coverage, exceptions, nesting, concurrent callers,
+// pool lifetime), the counter-based chunk seeding, batch-vs-scalar model
+// equivalence, and the headline guarantee — explainer output is
+// bit-identical for any thread count at a fixed seed. Build with -DXAIDB_SANITIZE=thread and run
 // `ctest -L parallel` to prove the sweeps race-free under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -46,24 +49,6 @@ TEST(ThreadPool, SizeOneRunsInlineWithoutWorkers) {
   EXPECT_EQ(sum, 4950);
 }
 
-TEST(ThreadPool, SubmitAndWaitDrains) {
-  ThreadPool pool(3);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) pool.Submit([&] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedWork) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) pool.Submit([&] { count.fetch_add(1); });
-    // No Wait(): shutdown itself must drain and join.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
 TEST(ThreadPool, ParallelForRethrowsFirstException) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.ParallelFor(0, 100, 5,
@@ -98,6 +83,44 @@ TEST(ThreadPool, GlobalThreadOverride) {
   SetGlobalThreads(1);
   EXPECT_EQ(GlobalThreadCount(), 1u);
   EXPECT_EQ(GlobalPool().num_threads(), 1u);
+}
+
+TEST(ThreadPool, ConcurrentCallersDoNotWaitOnEachOther) {
+  ThreadPool pool(3);
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::future<void> released = release.get_future();
+  bool timed_out = false;
+  // Caller A's chunk 0 blocks until the main thread's own sweep returns:
+  // that sweep must neither wait on A's chunks nor need A to finish.
+  std::thread a([&] {
+    pool.ParallelFor(0, 2, 1, [&](size_t i) {
+      if (i != 0) return;
+      entered.set_value();
+      timed_out = released.wait_for(std::chrono::seconds(5)) !=
+                  std::future_status::ready;
+    });
+  });
+  entered.get_future().wait();
+  std::vector<std::atomic<int>> hits(16);
+  pool.ParallelFor(0, hits.size(), 1, [&](size_t i) { hits[i].fetch_add(1); });
+  release.set_value();
+  a.join();
+  EXPECT_FALSE(timed_out);
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+TEST(ThreadPool, GlobalPoolReferenceSurvivesResize) {
+  ThreadCountGuard guard;
+  SetGlobalThreads(2);
+  ThreadPool& held = GlobalPool();
+  SetGlobalThreads(3);
+  EXPECT_EQ(GlobalPool().num_threads(), 3u);
+  // The reference taken before the resize still names a live 2-thread pool.
+  EXPECT_EQ(held.num_threads(), 2u);
+  std::vector<std::atomic<int>> hits(8);
+  held.ParallelFor(0, hits.size(), 1, [&](size_t i) { hits[i].fetch_add(1); });
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
 TEST(ChunkSeed, DeterministicAndDecorrelated) {
