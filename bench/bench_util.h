@@ -5,7 +5,9 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/eval_engine.h"
@@ -148,6 +150,44 @@ inline std::string ResourcesJson(uint64_t audit_log_bytes = 0) {
                   static_cast<unsigned long long>(rss),
                   static_cast<double>(rss) / (1024.0 * 1024.0));
   }
+  return buf;
+}
+
+/// JSON object fragment recording where a bench ran: CPU model, nproc,
+/// build type, compiler and the git commit of the working directory, with
+/// a "-dirty" suffix when the checkout has uncommitted changes ("unknown"
+/// outside a checkout). Call it before the bench writes its own output
+/// file into the checkout. Quotes and backslashes in the CPU model are
+/// dropped.
+inline std::string EnvJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      cpu.clear();
+      for (char c : line.substr(colon + 1))
+        if (c != '"' && c != '\\') cpu.push_back(c);
+      cpu.erase(0, cpu.find_first_not_of(' '));
+      break;
+    }
+  }
+  std::string sha;
+  if (std::FILE* git =
+          popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), git)) sha = buf;
+    pclose(git);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
+    sha.pop_back();
+  if (sha.empty()) sha = "unknown";
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"cpu\": \"%s\", \"nproc\": %u, \"build_type\": \"%s\", "
+                "\"compiler\": \"gcc %s\", \"git_sha\": \"%s\"}",
+                cpu.c_str(), std::thread::hardware_concurrency(),
+                XAI_BUILD_TYPE, __VERSION__, sha.c_str());
   return buf;
 }
 

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -30,14 +31,11 @@ namespace xai {
 ///    distinct values that straddle each rank, then deduplicated.
 ///
 /// Constant columns yield a single bin and are never candidates for a
-/// split. Values are assumed NaN-free (the Dataset layer's contract).
+/// split. -0.0 and +0.0 are one value. Mappers are built only by
+/// BinnedDataset::Build, which refuses NaN and +/-Inf.
 class BinMapper {
  public:
   BinMapper() = default;
-
-  /// Builds boundaries for one feature from `n` raw values (unsorted,
-  /// read-only). `max_bins` must be in [2, 65536].
-  static BinMapper Build(const double* values, size_t n, int max_bins);
 
   /// Number of bins (>= 1). Constant features have exactly one bin.
   int num_bins() const { return static_cast<int>(bounds_.size()) + 1; }
@@ -56,6 +54,9 @@ class BinMapper {
   const std::vector<double>& bounds() const { return bounds_; }
 
  private:
+  friend class BinnedDataset;
+  explicit BinMapper(std::vector<double> bounds) : bounds_(std::move(bounds)) {}
+
   std::vector<double> bounds_;  // Strictly increasing; size = num_bins - 1.
 };
 
@@ -69,7 +70,11 @@ class BinnedDataset {
   BinnedDataset() = default;
 
   /// Quantizes every column of x. `max_bins` in [2, 65536]; values above
-  /// 256 switch wide features to u16 codes.
+  /// 256 switch wide features to u16 codes. Returns InvalidArgument naming
+  /// the first feature (and its first row) holding a NaN or +/-Inf, and for
+  /// an empty matrix or more than 2^32 - 1 rows. Features are built under
+  /// GlobalPool().ParallelFor; the result does not depend on the thread
+  /// count.
   static Result<BinnedDataset> Build(const Matrix& x, int max_bins = 256);
 
   size_t rows() const { return rows_; }

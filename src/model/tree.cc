@@ -248,8 +248,9 @@ Tree FitRegressionTree(const Matrix& x, const std::vector<double>& targets,
                        const std::vector<size_t>* row_subset, Rng* rng) {
   if (config.train.method == TrainMethod::kHist) {
     auto binned = BinnedDataset::Build(x, config.train.max_bins);
-    // Degenerate inputs (empty matrix) fall through to the exact learner,
-    // which shares the empty-tree behavior tests pin down.
+    // A matrix the bin build refuses (empty, or holding NaN/Inf) falls
+    // through to the exact learner, which shares the empty-tree behavior
+    // tests pin down; model Fits reject non-finite input before this.
     if (binned.ok()) {
       return FitRegressionTreeHist(*binned, targets, config, hessian_weights,
                                    row_subset, rng);

@@ -1,7 +1,9 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
 
 #include "math/matrix.h"
 #include "obs/audit.h"
@@ -153,8 +155,31 @@ void ExplanationService::EnqueueLocked(std::unique_ptr<Pending> p) {
   XAI_OBS_GAUGE_SET("serve.queue_depth", queue_.size());
 }
 
+Status ExplanationService::RejectNonFinite(
+    const std::vector<double>& instance) {
+  for (size_t j = 0; j < instance.size(); ++j) {
+    if (std::isfinite(instance[j])) continue;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.rejected;
+    }
+    XAI_OBS_COUNT("serve.rejected_nonfinite");
+    return Status::InvalidArgument(
+        "ExplanationService: non-finite instance value at feature " +
+        std::to_string(j));
+  }
+  return Status::OK();
+}
+
 std::future<Result<ExplanationResponse>> ExplanationService::Submit(
     ExplanationRequest req, Callback cb) {
+  if (Status st = RejectNonFinite(req.instance); !st.ok()) {
+    std::promise<Result<ExplanationResponse>> promise;
+    const Result<ExplanationResponse> result(std::move(st));
+    promise.set_value(result);
+    if (cb) cb(result);
+    return promise.get_future();
+  }
   auto p = MakePending(std::move(req), std::move(cb));
   auto fut = p->promise.get_future();
   {
@@ -176,6 +201,7 @@ std::future<Result<ExplanationResponse>> ExplanationService::Submit(
 
 Result<std::future<Result<ExplanationResponse>>> ExplanationService::TrySubmit(
     ExplanationRequest req, Callback cb) {
+  XAI_RETURN_NOT_OK(RejectNonFinite(req.instance));
   auto p = MakePending(std::move(req), std::move(cb));
   auto fut = p->promise.get_future();
   {

@@ -193,7 +193,10 @@ class ExplanationService {
 
   /// Enqueues; blocks while the queue is full. The future always resolves
   /// (value, error, or DeadlineExceeded). `cb`, if given, runs on the
-  /// dispatcher thread right after the future is fulfilled. When the
+  /// dispatcher thread right after the future is fulfilled. An instance
+  /// holding NaN or +/-Inf is refused before it is queued: the future
+  /// (and `cb`, on the calling thread) resolves to InvalidArgument,
+  /// counted in stats().rejected and `serve.rejected_nonfinite`. When the
   /// flight recorder is on, the request is assigned a trace_id here (see
   /// ExplanationBreakdown::trace_id) and its enqueue → dequeue → sweep →
   /// completion path emits linked trace events across threads.
@@ -201,7 +204,7 @@ class ExplanationService {
                                                   Callback cb = nullptr);
 
   /// Non-blocking Submit: Unavailable when the queue is full or the
-  /// service is shut down.
+  /// service is shut down, InvalidArgument for a non-finite instance.
   Result<std::future<Result<ExplanationResponse>>> TrySubmit(
       ExplanationRequest req, Callback cb = nullptr);
 
@@ -255,6 +258,9 @@ class ExplanationService {
   };
   static constexpr size_t kHistoryCap = 128;
 
+  /// InvalidArgument naming the first NaN/Inf in `instance`, counted as
+  /// a rejection; OK when every value is finite.
+  Status RejectNonFinite(const std::vector<double>& instance);
   std::unique_ptr<Pending> MakePending(ExplanationRequest req,
                                        Callback cb) const;
   void EnqueueLocked(std::unique_ptr<Pending> p);

@@ -1,14 +1,16 @@
-// Binned training pipeline: BinMapper/BinnedDataset quantization, the
-// histogram tree learner's parity with the exact sort-per-node oracle,
-// histogram subtraction, thread-count bit-identity, and the GBDT/forest
-// integration, and the training-input check every tree fit runs first
-// (`ctest -L train`; in the TSan CI job for the per-feature ParallelFor
-// sweeps).
+// Binned training pipeline: BinMapper/BinnedDataset quantization (checked
+// bound for bound and code for code against the sort-based oracle in
+// binned_oracle.h), non-finite rejection, the histogram tree learner's
+// parity with the exact sort-per-node oracle, histogram subtraction,
+// thread-count bit-identity, and the GBDT/forest integration, and the
+// training-input check every tree fit runs first (`ctest -L train`; in the
+// TSan CI job for the per-feature ParallelFor sweeps).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -24,6 +26,7 @@
 #include "model/hist_learner.h"
 #include "model/metrics.h"
 #include "model/tree.h"
+#include "binned_oracle.h"
 
 namespace xai {
 namespace {
@@ -89,9 +92,22 @@ void ExpectIdenticalTrees(const Tree& a, const Tree& b,
 
 // ---------------------------------------------------------------- BinMapper
 
+Matrix ColumnMatrix(const std::vector<double>& vals) {
+  Matrix x(vals.size(), 1);
+  for (size_t i = 0; i < vals.size(); ++i) x(i, 0) = vals[i];
+  return x;
+}
+
+/// The mapper BinnedDataset::Build gives `vals` as a one-column matrix.
+BinMapper MapperOf(const std::vector<double>& vals, int max_bins) {
+  auto ds = BinnedDataset::Build(ColumnMatrix(vals), max_bins);
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  return ds.ok() ? ds->mapper(0) : BinMapper();
+}
+
 TEST(BinMapper, ExactModeUsesMidpointBoundaries) {
   const std::vector<double> vals = {5.0, 1.0, 2.0, 2.0, 3.0};
-  BinMapper m = BinMapper::Build(vals.data(), vals.size(), 256);
+  BinMapper m = MapperOf(vals, 256);
   EXPECT_EQ(m.num_bins(), 4);  // distinct: 1, 2, 3, 5
   ASSERT_EQ(m.bounds().size(), 3u);
   EXPECT_DOUBLE_EQ(m.bounds()[0], 1.5);
@@ -110,7 +126,7 @@ TEST(BinMapper, CodeAndThresholdPartitionConsistently) {
   Rng rng(11);
   std::vector<double> vals(5000);
   for (double& v : vals) v = rng.Gaussian();
-  BinMapper m = BinMapper::Build(vals.data(), vals.size(), 32);
+  BinMapper m = MapperOf(vals, 32);
   ASSERT_GT(m.num_bins(), 8);
   ASSERT_LE(m.num_bins(), 32);
   for (const double v : vals) {
@@ -128,7 +144,7 @@ TEST(BinMapper, QuantileModeBalancesCounts) {
   Rng rng(7);
   std::vector<double> vals(10000);
   for (double& v : vals) v = rng.NextDouble() * rng.NextDouble();  // Skewed.
-  BinMapper m = BinMapper::Build(vals.data(), vals.size(), 16);
+  BinMapper m = MapperOf(vals, 16);
   ASSERT_EQ(m.num_bins(), 16);
   std::vector<size_t> counts(16, 0);
   for (const double v : vals) ++counts[m.CodeOf(v)];
@@ -140,7 +156,7 @@ TEST(BinMapper, QuantileModeBalancesCounts) {
 
 TEST(BinMapper, ConstantColumnGetsOneBin) {
   const std::vector<double> vals(100, 3.14);
-  BinMapper m = BinMapper::Build(vals.data(), vals.size(), 256);
+  BinMapper m = MapperOf(vals, 256);
   EXPECT_EQ(m.num_bins(), 1);
   EXPECT_EQ(m.CodeOf(3.14), 0u);
   EXPECT_TRUE(std::isinf(m.BinUpperBound(0)));
@@ -183,6 +199,165 @@ TEST(BinnedDataset, RejectsBadArguments) {
   EXPECT_FALSE(BinnedDataset::Build(Matrix(), 256).ok());
   EXPECT_FALSE(BinnedDataset::Build(Matrix(3, 2), 1).ok());
   EXPECT_FALSE(BinnedDataset::Build(Matrix(3, 2), 100000).ok());
+}
+
+TEST(BinnedDataset, RejectsNonFinite) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    Matrix x(200, 3);
+    for (size_t i = 0; i < x.rows(); ++i)
+      for (size_t j = 0; j < x.cols(); ++j)
+        x(i, j) = static_cast<double>((i * 7 + j) % 11);
+    x(17, 1) = v;
+    x(90, 1) = v;
+    x(5, 2) = v;  // A later feature: the first bad feature is reported.
+    auto built = BinnedDataset::Build(x, 256);
+    ASSERT_FALSE(built.ok()) << v;
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(built.status().message().find("feature 1 at row 17"),
+              std::string::npos)
+        << built.status().message();
+  }
+}
+
+/// One oracle case: a named column and the max_bins it is built under.
+struct OracleCase {
+  std::string name;
+  std::vector<double> values;
+  int max_bins;
+};
+
+/// `n` draws from `pool`, every pool value used at least once (n >=
+/// pool.size()), in random order.
+std::vector<double> DrawFrom(const std::vector<double>& pool, size_t n,
+                             Rng* rng) {
+  std::vector<double> out(pool);
+  while (out.size() < n) out.push_back(pool[rng->NextInt(pool.size())]);
+  for (size_t i = out.size(); i > 1; --i)
+    std::swap(out[i - 1], out[rng->NextInt(i)]);
+  return out;
+}
+
+std::vector<OracleCase> OracleCases(uint64_t seed) {
+  Rng rng(seed);
+  const size_t n = 3000;
+  auto gaussians = [&](size_t k) {
+    std::vector<double> v(k);
+    for (double& x : v) x = rng.Gaussian();
+    return v;
+  };
+  std::vector<OracleCase> cases;
+  cases.push_back({"gaussian_quantile", gaussians(n), 256});
+  cases.push_back({"gaussian_exact", DrawFrom(gaussians(100), n, &rng), 256});
+  cases.push_back({"max_bins_distinct", DrawFrom(gaussians(256), n, &rng),
+                   256});
+  cases.push_back({"max_bins_plus_one", DrawFrom(gaussians(257), n, &rng),
+                   256});
+  {
+    // Two values hold 70% of the rows and swallow several quantile ranks.
+    std::vector<double> v = gaussians(n);
+    for (double& x : v) {
+      const uint64_t r = rng.NextInt(10);
+      if (r < 5) x = 0.5;
+      else if (r < 7) x = -1.25;
+    }
+    cases.push_back({"heavy_values", v, 64});
+  }
+  {
+    std::vector<double> v(n);
+    const double zeros[] = {-0.0, 0.0, 1.0, -1.0};
+    for (double& x : v) x = zeros[rng.NextInt(4)];
+    cases.push_back({"signed_zeros_exact", v, 256});
+    for (size_t i = 0; i < n; i += 3) v[i] = rng.Gaussian();
+    cases.push_back({"signed_zeros_quantile", v, 16});
+  }
+  {
+    const double dmin = std::numeric_limits<double>::denorm_min();
+    const double dmax = std::numeric_limits<double>::max();
+    const std::vector<double> extremes = {
+        dmin,   -dmin, 2 * dmin, 1e-310, -1e-310, 0.0,  -0.0,
+        1e308,  -1e308, dmax,    -dmax,  1.0,     -1.0, 3 * dmin};
+    cases.push_back({"extremes_exact", DrawFrom(extremes, n, &rng), 256});
+    cases.push_back({"extremes_quantile", DrawFrom(extremes, n, &rng), 4});
+  }
+  {
+    std::vector<double> v = gaussians(n);
+    for (double& x : v) x = -std::exp(x);
+    cases.push_back({"negative_only", v, 256});
+  }
+  cases.push_back({"constant", std::vector<double>(n, -2.5), 256});
+  cases.push_back({"single_row", {rng.Gaussian()}, 256});
+  cases.push_back({"u16_exact", gaussians(n), 1024});
+  cases.push_back({"u16_quantile", DrawFrom(gaussians(2500), n, &rng), 1024});
+  cases.push_back({"u16_max_exact", gaussians(n), 65536});
+  cases.push_back({"u16_max_quantile", gaussians(70000), 65536});
+  return cases;
+}
+
+/// Bitwise equality (memcmp, so -0.0 and +0.0 differ).
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void ExpectMatchesOracle(const BinnedDataset& ds, size_t f,
+                         const std::vector<double>& col,
+                         const std::string& name) {
+  const std::vector<double> bounds =
+      oracle::BinBounds(col.data(), col.size(), ds.max_bins());
+  EXPECT_TRUE(SameBits(ds.mapper(f).bounds(), bounds)) << name;
+  const std::vector<uint32_t> codes =
+      oracle::BinCodes(col.data(), col.size(), bounds);
+  EXPECT_EQ(ds.narrow(f), bounds.size() < 256) << name;
+  size_t mismatches = 0;
+  for (size_t i = 0; i < col.size(); ++i)
+    if (ds.Code(f, i) != codes[i]) ++mismatches;
+  EXPECT_EQ(mismatches, 0u) << name;
+}
+
+TEST(BinnedDataset, MatchesSortOracleBoundForBoundAndCodeForCode) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (const OracleCase& c : OracleCases(seed)) {
+      auto ds = BinnedDataset::Build(ColumnMatrix(c.values), c.max_bins);
+      ASSERT_TRUE(ds.ok()) << c.name;
+      ExpectMatchesOracle(*ds, 0, c.values, c.name);
+    }
+  }
+}
+
+TEST(BinnedDataset, IdenticalAtOneAndFourThreads) {
+  // Every 3000-row, 256-bin oracle case side by side in one matrix: one
+  // scratch serves all of them in turn at one thread, and chunks of them
+  // at four. Both builds match the oracle and each other.
+  ThreadCountGuard guard;
+  std::vector<OracleCase> cases;
+  for (OracleCase& c : OracleCases(4))
+    if (c.values.size() == 3000 && c.max_bins == 256)
+      cases.push_back(std::move(c));
+  ASSERT_GE(cases.size(), 8u);
+  Matrix x(3000, cases.size());
+  for (size_t f = 0; f < cases.size(); ++f)
+    for (size_t i = 0; i < x.rows(); ++i) x(i, f) = cases[f].values[i];
+  SetGlobalThreads(1);
+  auto one = BinnedDataset::Build(x, 256);
+  SetGlobalThreads(4);
+  auto four = BinnedDataset::Build(x, 256);
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(four.ok());
+  EXPECT_EQ(one->TotalBins(), four->TotalBins());
+  for (size_t f = 0; f < cases.size(); ++f) {
+    ExpectMatchesOracle(*one, f, cases[f].values, cases[f].name);
+    ExpectMatchesOracle(*four, f, cases[f].values, cases[f].name);
+    EXPECT_TRUE(SameBits(one->mapper(f).bounds(), four->mapper(f).bounds()))
+        << cases[f].name;
+    ASSERT_TRUE(one->narrow(f) && four->narrow(f)) << cases[f].name;
+    EXPECT_EQ(std::memcmp(one->Codes8(f), four->Codes8(f), x.rows()), 0)
+        << cases[f].name;
+    EXPECT_EQ(one->BinOffset(f), four->BinOffset(f));
+  }
 }
 
 // ---------------------------------------------------- hist-vs-exact parity

@@ -2,13 +2,16 @@
 // on: coalesced results bit-identical to solo serving, duplicate requests
 // answered from one computation, deadline expiry as a typed error,
 // drain-on-shutdown completing everything in flight, priority ordering,
-// backpressure, and an 8-thread submit/consume race (the `serve` ctest
+// backpressure, refusal of non-finite instances before they queue, and an
+// 8-thread submit/consume race (the `serve` ctest
 // label is part of the TSan job).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <string>
@@ -20,6 +23,7 @@
 #include "feature/explainer_factory.h"
 #include "model/gbdt.h"
 #include "model/logistic_regression.h"
+#include "obs/audit.h"
 #include "obs/obs.h"
 #include "serve/service.h"
 
@@ -273,6 +277,53 @@ TEST_F(ServeTest, SubmitAfterShutdownIsUnavailable) {
   auto try_r = service.TrySubmit(Request(0, ExplainerKind::kTreeShap));
   ASSERT_FALSE(try_r.ok());
   EXPECT_EQ(try_r.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(ServeTest, NonFiniteInstanceIsRejectedBeforeQueueing) {
+  obs::SetEnabled(true);
+  const obs::Counter* counter =
+      obs::MetricsRegistry::Global().GetCounter("serve.rejected_nonfinite");
+  const uint64_t before = counter->Value();
+  const std::string dir = ::testing::TempDir() + "xai_serve_nonfinite";
+  std::filesystem::remove_all(dir);
+  auto log = obs::AuditLog::Open(dir);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  std::shared_ptr<obs::AuditLog> audit = std::move(log).value();
+
+  ExplanationServiceOptions opts;
+  opts.config = FastConfig();
+  opts.audit = audit;
+  ExplanationService service(Handle(), *ds_, opts);
+  ExplanationRequest nan_req = Request(0, ExplainerKind::kKernelShap);
+  nan_req.instance[2] = std::numeric_limits<double>::quiet_NaN();
+  bool cb_fired = false;
+  auto nan_r = service
+                   .Submit(nan_req,
+                           [&](const Result<ExplanationResponse>& r) {
+                             cb_fired = !r.ok();
+                           })
+                   .get();
+  ASSERT_FALSE(nan_r.ok());
+  EXPECT_EQ(nan_r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nan_r.status().message().find("feature 2"), std::string::npos);
+  EXPECT_TRUE(cb_fired);
+
+  ExplanationRequest inf_req = Request(1, ExplainerKind::kTreeShap);
+  inf_req.instance[0] = -std::numeric_limits<double>::infinity();
+  auto inf_r = service.TrySubmit(inf_req);
+  ASSERT_FALSE(inf_r.ok());
+  EXPECT_EQ(inf_r.status().code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(counter->Value(), before + 2);
+  EXPECT_EQ(service.stats().rejected, 2u);
+  EXPECT_EQ(service.stats().submitted, 0u);
+  // A finite request still serves, and it is the only one audited.
+  ASSERT_TRUE(service.Submit(Request(0, ExplainerKind::kTreeShap)).get().ok());
+  service.Shutdown();
+  audit->Flush();
+  EXPECT_EQ(audit->stats().appended, 1u);
+  EXPECT_EQ(audit->stats().dropped, 0u);
+  obs::SetEnabled(false);
 }
 
 TEST_F(ServeTest, TrySubmitReportsFullQueue) {
