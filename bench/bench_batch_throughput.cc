@@ -1,27 +1,23 @@
-// Throughput benchmark for the batched evaluation pipeline (PR 2) and the
+// Throughput benchmark for the batched evaluation pipeline and the
 // compiled flat ensemble runtime (flat_tree.h).
 //
 // Measures model evaluations/second over a fixed row set:
 //   scalar            per-row Matrix::Row copy + Model::Predict — the
 //                     pre-batching pipeline idiom
-//   node_batched      tree-outer / row-inner traversal of the node-object
-//                     Tree reference (Tree::AccumulateBatch) — what
-//                     PredictBatch was before the flat runtime
 //   batched           one Model::PredictBatch call over the whole Matrix —
 //                     the compiled SoA FlatEnsemble path for tree models
 //   batched+parallel  fixed-size row chunks dispatched through the global
 //                     ThreadPool (XAIDB_THREADS), one PredictBatch each
 //
-// Covered models: a deep GBDT ensemble, a random forest (both compare the
-// flat runtime against their node-based reference) and logistic regression
-// (single GEMV, no node mode). All batched outputs are checked
-// bit-identical to scalar before any rate is reported.
+// Covered models: a deep GBDT ensemble, a random forest and logistic
+// regression (single GEMV). Every batched output is checked bit-identical
+// to scalar before any rate is reported. The node-object reference the
+// flat runtime is tested against lives in tests/tree_oracle.h.
 //
 // Writes machine-readable results to BENCH_batch.json (or argv[1]).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,7 +25,6 @@
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "math/matrix.h"
-#include "math/stats.h"
 #include "model/decision_tree.h"
 #include "model/gbdt.h"
 #include "model/logistic_regression.h"
@@ -46,8 +41,7 @@ struct ModeResult {
 
 struct ModelResult {
   std::string name;
-  ModeResult scalar, node, batched, parallel;
-  bool has_node = false;      // Tree models only.
+  ModeResult scalar, batched, parallel;
   double max_abs_diff = 0.0;  // All modes vs scalar, must be exactly 0.
 };
 
@@ -68,11 +62,8 @@ Matrix RowBlock(const Matrix& x, size_t begin, size_t end) {
       std::vector<double>(src, src + (end - begin) * x.cols()));
 }
 
-using BatchFn = std::function<std::vector<double>(const Matrix&)>;
-
 ModelResult BenchModel(const std::string& name, const Model& model,
-                       const Matrix& x, int reps,
-                       const BatchFn& node_batch = nullptr) {
+                       const Matrix& x, int reps) {
   const size_t n = x.rows();
   ModelResult out;
   out.name = name;
@@ -86,14 +77,6 @@ ModelResult BenchModel(const std::string& name, const Model& model,
         scalar_pred[i] = model.Predict(row);
       }
     out.scalar = Rate(t.ElapsedMs(), n, reps);
-  }
-
-  std::vector<double> node_pred;
-  if (node_batch) {
-    out.has_node = true;
-    Timer t;
-    for (int r = 0; r < reps; ++r) node_pred = node_batch(x);
-    out.node = Rate(t.ElapsedMs(), n, reps);
   }
 
   std::vector<double> batched_pred;
@@ -125,9 +108,6 @@ ModelResult BenchModel(const std::string& name, const Model& model,
         std::max(out.max_abs_diff, std::abs(scalar_pred[i] - batched_pred[i]));
     out.max_abs_diff =
         std::max(out.max_abs_diff, std::abs(scalar_pred[i] - parallel_pred[i]));
-    if (node_batch)
-      out.max_abs_diff =
-          std::max(out.max_abs_diff, std::abs(scalar_pred[i] - node_pred[i]));
   }
   return out;
 }
@@ -152,20 +132,12 @@ void WriteJson(const char* path, size_t rows, size_t threads,
     std::fprintf(f, "    {\"name\": \"%s\",\n", m.name.c_str());
     std::fprintf(f, "     \"scalar_evals_per_sec\": %.0f,\n",
                  m.scalar.evals_per_sec);
-    if (m.has_node) {
-      std::fprintf(f, "     \"node_batched_evals_per_sec\": %.0f,\n",
-                   m.node.evals_per_sec);
-    }
     std::fprintf(f, "     \"batched_evals_per_sec\": %.0f,\n",
                  m.batched.evals_per_sec);
     std::fprintf(f, "     \"parallel_evals_per_sec\": %.0f,\n",
                  m.parallel.evals_per_sec);
     std::fprintf(f, "     \"batched_speedup\": %.2f,\n",
                  m.batched.evals_per_sec / m.scalar.evals_per_sec);
-    if (m.has_node) {
-      std::fprintf(f, "     \"flat_vs_node_speedup\": %.2f,\n",
-                   m.batched.evals_per_sec / m.node.evals_per_sec);
-    }
     std::fprintf(f, "     \"parallel_speedup\": %.2f,\n",
                  m.parallel.evals_per_sec / m.scalar.evals_per_sec);
     std::fprintf(f, "     \"max_abs_diff\": %g}%s\n", m.max_abs_diff,
@@ -184,16 +156,16 @@ int main(int argc, char** argv) {
   const std::string json_path =
       PositionalArg(argc, argv, 0, "BENCH_batch.json");
   Banner("E16: bench_batch_throughput",
-         "compiled flat SoA ensembles beat node-object traversal (>=2x "
-         "batched GBDT evals/sec over the pre-flat pipeline baseline of "
-         "23,243 e/s); chunked parallel dispatch adds throughput with "
-         "XAIDB_THREADS > 1 and every mode stays bit-identical to scalar");
+         "compiled flat SoA ensembles batch at >=2x the pre-flat pipeline "
+         "baseline of 23,243 GBDT evals/sec; chunked parallel dispatch adds "
+         "throughput with XAIDB_THREADS > 1 and every mode stays "
+         "bit-identical to scalar");
 
   // Deep ensemble: ~1500 trees x depth 8 (tens of MB of nodes) puts the
   // ensemble well past the last-level cache, so row-outer scalar traversal
   // thrashes while tree-outer batching keeps each tree hot across the
-  // whole row block — and the flat SoA layout + interleaved row cursors
-  // add an integer factor on top of the node-object batcher.
+  // whole row block, and the flat SoA layout + interleaved row cursors
+  // add an integer factor on top.
   Dataset ds = MakeLoanDataset(8000);
   auto gbdt = GradientBoostedTrees::Fit(
       ds, {.num_rounds = 1500,
@@ -205,43 +177,17 @@ int main(int argc, char** argv) {
   auto logistic = LogisticRegression::Fit(ds, {.lambda = 1e-3});
   if (!logistic.ok()) return 1;
 
-  // Node-based references: the same tree-outer / row-inner loop PredictBatch
-  // ran before the flat runtime, kept alive by Tree::AccumulateBatch.
-  const BatchFn gbdt_node = [&](const Matrix& x) {
-    std::vector<double> out(x.rows(), gbdt->base_score());
-    for (const Tree& t : gbdt->trees())
-      t.AccumulateBatch(x, gbdt->learning_rate(), &out);
-    if (gbdt->loss() == GbdtLoss::kLogistic)
-      for (double& v : out) v = Sigmoid(v);
-    return out;
-  };
-  const BatchFn forest_node = [&](const Matrix& x) {
-    std::vector<double> out(x.rows(), 0.0);
-    for (const Tree& t : forest->trees()) t.AccumulateBatch(x, 1.0, &out);
-    for (double& v : out) v /= static_cast<double>(forest->trees().size());
-    return out;
-  };
-
   std::vector<ModelResult> results;
-  results.push_back(BenchModel("gbdt", *gbdt, ds.x(), 3, gbdt_node));
-  results.push_back(BenchModel("forest", *forest, ds.x(), 3, forest_node));
+  results.push_back(BenchModel("gbdt", *gbdt, ds.x(), 3));
+  results.push_back(BenchModel("forest", *forest, ds.x(), 3));
   results.push_back(BenchModel("logistic", *logistic, ds.x(), 20));
 
-  Row("%-10s %12s %12s %12s %12s %8s %8s", "model", "scalar_e/s", "node_e/s",
-      "flat_e/s", "parallel_e/s", "flat/nd", "par_x");
+  Row("%-10s %12s %12s %12s %8s", "model", "scalar_e/s", "flat_e/s",
+      "parallel_e/s", "par_x");
   for (const ModelResult& m : results) {
-    // A model without a node reference prints "-" in both node columns,
-    // as the JSON omits those fields.
-    char node_eps[32] = "-";
-    char flat_vs_node[32] = "-";
-    if (m.has_node) {
-      std::snprintf(node_eps, sizeof(node_eps), "%.0f", m.node.evals_per_sec);
-      std::snprintf(flat_vs_node, sizeof(flat_vs_node), "%.2fx",
-                    m.batched.evals_per_sec / m.node.evals_per_sec);
-    }
-    Row("%-10s %12.0f %12s %12.0f %12.0f %8s %7.2fx", m.name.c_str(),
-        m.scalar.evals_per_sec, node_eps, m.batched.evals_per_sec,
-        m.parallel.evals_per_sec, flat_vs_node,
+    Row("%-10s %12.0f %12.0f %12.0f %7.2fx", m.name.c_str(),
+        m.scalar.evals_per_sec, m.batched.evals_per_sec,
+        m.parallel.evals_per_sec,
         m.parallel.evals_per_sec / m.scalar.evals_per_sec);
     if (m.max_abs_diff != 0.0) {
       std::fprintf(stderr, "FAIL: %s batched output differs from scalar "

@@ -33,7 +33,7 @@ int main() {
   // Exact reference per instance.
   std::vector<std::vector<double>> exact(kInstances);
   for (int i = 0; i < kInstances; ++i) {
-    TreePathGame game(gbdt->trees(), gbdt->learning_rate(), d,
+    TreePathGame game(gbdt->flat(), gbdt->learning_rate(),
                       ds.row(static_cast<size_t>(i)));
     auto phi = ExactShapley(game, 20);
     if (!phi.ok()) return 1;
@@ -55,14 +55,16 @@ int main() {
     Row("%-24s %14.3e %12.4f", name, max_err, corr);
   };
 
+  TreeShapExplainer treeshap(*gbdt, ds.schema());
   evaluate("treeshap", [&](const std::vector<double>& x, int) {
-    return EnsembleTreeShap(gbdt->trees(), gbdt->learning_rate(), d, x);
+    auto attr = treeshap.Explain(x);
+    return attr.ok() ? attr->values : std::vector<double>(d, NAN);
   });
   for (int budget : {10, 50, 250, 1000}) {
     char name[64];
     std::snprintf(name, sizeof(name), "permutation(%d)", budget);
     evaluate(name, [&](const std::vector<double>& x, int i) {
-      TreePathGame game(gbdt->trees(), gbdt->learning_rate(), d, x);
+      TreePathGame game(gbdt->flat(), gbdt->learning_rate(), x);
       Rng rng(100 + static_cast<uint64_t>(i));
       return PermutationShapley(game, budget, &rng);
     });

@@ -31,7 +31,7 @@ int main() {
 
     double exact_ms = -1.0;
     {
-      TreePathGame game(gbdt->trees(), gbdt->learning_rate(), d, x);
+      TreePathGame game(gbdt->flat(), gbdt->learning_rate(), x);
       Timer t;
       for (int r = 0; r < reps; ++r) {
         auto phi = ExactShapley(game, 20);
@@ -42,7 +42,7 @@ int main() {
 
     double perm_ms;
     {
-      TreePathGame game(gbdt->trees(), gbdt->learning_rate(), d, x);
+      TreePathGame game(gbdt->flat(), gbdt->learning_rate(), x);
       Rng rng(7);
       Timer t;
       for (int r = 0; r < reps; ++r)

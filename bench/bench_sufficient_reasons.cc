@@ -36,16 +36,16 @@ int main() {
     size_t shap_ok = 0;
     for (size_t i = 0; i < kInstances; ++i) {
       const std::vector<double> x = ds.row(i);
-      auto reason = MinimalSufficientReason(tree->tree(), x);
+      auto reason = MinimalSufficientReason(tree->flat(), x);
       if (!reason.ok()) return 1;
       avg_size += static_cast<double>(reason->features.size()) / kInstances;
-      if (IsSufficientForTree(tree->tree(), x, reason->features))
+      if (IsSufficientForTree(tree->flat(), x, reason->features))
         ++reason_ok;
       auto attr = shap.Explain(x);
       if (!attr.ok()) return 1;
       const std::vector<size_t> topk =
           attr->TopFeatures(reason->features.size());
-      if (IsSufficientForTree(tree->tree(), x, topk)) ++shap_ok;
+      if (IsSufficientForTree(tree->flat(), x, topk)) ++shap_ok;
     }
     Row("%-8d %14.2f %17.0f%% %19.0f%%", depth, avg_size,
         100.0 * reason_ok / kInstances, 100.0 * shap_ok / kInstances);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "data/binned.h"
 #include "data/transforms.h"
+#include "model/hist_learner.h"
 
 namespace xai {
 namespace {
@@ -58,26 +60,34 @@ Result<CxplainExplainer> CxplainExplainer::Fit(const Model& model,
     targets.SetRow(i, imp);
   }
 
-  // One regression tree per feature: x -> importance_j.
-  explainer.per_feature_trees_.reserve(d);
-  for (size_t j = 0; j < d; ++j) {
-    std::vector<double> tj = targets.Col(j);
-    explainer.per_feature_trees_.push_back(
-        FitRegressionTree(x, tj, opts.tree));
+  // One regression tree per feature: x -> importance_j. The histogram
+  // learner quantizes x once and grows all d trees from the same codes.
+  std::vector<Tree> trees(d);
+  if (opts.tree.train.method == TrainMethod::kHist) {
+    XAI_ASSIGN_OR_RETURN(BinnedDataset binned,
+                         BinnedDataset::Build(x, opts.tree.train.max_bins));
+    for (size_t j = 0; j < d; ++j)
+      trees[j] = FitRegressionTreeHist(binned, targets.Col(j), opts.tree);
+  } else {
+    for (size_t j = 0; j < d; ++j) {
+      XAI_ASSIGN_OR_RETURN(trees[j],
+                           FitRegressionTree(x, targets.Col(j), opts.tree));
+    }
   }
+  explainer.surrogate_ = FlatEnsemble::Compile(trees);
   return explainer;
 }
 
 Result<FeatureAttribution> CxplainExplainer::Explain(
     const std::vector<double>& instance) {
-  const size_t d = per_feature_trees_.size();
+  const size_t d = surrogate_.num_trees();
   if (instance.size() != d)
     return Status::InvalidArgument("Cxplain: arity mismatch");
   FeatureAttribution out;
   out.values.resize(d);
   double total = 0.0;
   for (size_t j = 0; j < d; ++j) {
-    out.values[j] = std::max(0.0, per_feature_trees_[j].Predict(instance));
+    out.values[j] = std::max(0.0, surrogate_.PredictTree(j, instance.data()));
     total += out.values[j];
   }
   if (total > 1e-12) {

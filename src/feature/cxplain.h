@@ -6,6 +6,7 @@
 #include "common/result.h"
 #include "core/explainer.h"
 #include "data/dataset.h"
+#include "model/flat_tree.h"
 #include "model/model.h"
 #include "model/tree.h"
 
@@ -26,9 +27,10 @@ struct CxplainOptions {
 /// *outputs* (vanilla surrogate explainability), fit it to a *causal
 /// objective* — the per-feature "Granger-causal" importance defined as the
 /// increase in the black box's deviation when feature j is masked
-/// (mean-imputed). The surrogate (here: one regression tree per feature)
-/// then produces explanations in a single forward pass, amortizing the
-/// d+1 model evaluations per instance the direct computation needs.
+/// (mean-imputed). The surrogate (here: one regression tree per feature,
+/// compiled into one FlatEnsemble) then produces explanations in a single
+/// forward pass, amortizing the d+1 model evaluations per instance the
+/// direct computation needs.
 class CxplainExplainer : public AttributionExplainer {
  public:
   /// Trains the importance surrogate against `model` on `reference` rows.
@@ -45,6 +47,9 @@ class CxplainExplainer : public AttributionExplainer {
   /// surrogate output against the direct computation.
   std::vector<double> DirectImportance(const std::vector<double>& instance) const;
 
+  /// The surrogate: tree j regresses the importance of feature j.
+  const FlatEnsemble& surrogate() const { return surrogate_; }
+
  private:
   CxplainExplainer(const Model& model, Schema schema,
                    std::vector<double> column_means, double temperature)
@@ -55,7 +60,7 @@ class CxplainExplainer : public AttributionExplainer {
   Schema schema_;
   std::vector<double> column_means_;
   double temperature_;
-  std::vector<Tree> per_feature_trees_;
+  FlatEnsemble surrogate_;
 };
 
 }  // namespace xai

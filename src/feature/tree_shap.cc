@@ -91,31 +91,14 @@ void Unwind(PathElement* p, int len, int idx) {
   }
 }
 
-/// A node-object Tree behind FlatEnsemble's accessor names, so one
-/// recursion serves the reference walker and the flat one.
-struct NodeView {
-  const Tree& tree;
-  const TreeNode& at(int32_t i) const {
-    return tree.nodes[static_cast<size_t>(i)];
-  }
-  bool is_leaf(int32_t i) const { return at(i).is_leaf(); }
-  int feature(int32_t i) const { return at(i).feature; }
-  double threshold(int32_t i) const { return at(i).threshold; }
-  int32_t left(int32_t i) const { return at(i).left; }
-  int32_t right(int32_t i) const { return at(i).right; }
-  double value(int32_t i) const { return at(i).value; }
-  double cover(int32_t i) const { return at(i).cover; }
-};
-
 /// Path-dependent TreeSHAP below `node`: `parent` is the caller's slice of
 /// the path arena, holding `parent_len` elements. Adds the node's
 /// contributions into phi and returns the value of the leaf reached along
 /// the all-hot path — the tree's prediction on x, by the same `<=`
 /// routing the predictors use.
-template <typename TreeT>
-double Recurse(const TreeT& tree, const double* x, double* phi, int32_t node,
-               PathElement* parent, int parent_len, double pz, double po,
-               int pi) {
+double Recurse(const FlatEnsemble& tree, const double* x, double* phi,
+               int32_t node, PathElement* parent, int parent_len, double pz,
+               double po, int pi) {
   PathElement* path = parent + parent_len + 1;
   std::copy(parent, parent + parent_len, path);
   Extend(path, parent_len, pz, po, pi);
@@ -170,61 +153,38 @@ size_t EnsembleArenaSize(const FlatEnsemble& ens) {
 
 }  // namespace
 
-void TreeShapValues(const Tree& tree, const std::vector<double>& x,
-                    std::vector<double>* phi) {
-  XAI_OBS_COUNT("feature.tree_shap.path_walks");
-  std::vector<PathElement> arena(PathArenaSize(tree.MaxDepth()));
-  Recurse(NodeView{tree}, x.data(), phi->data(), 0, arena.data(), 0, 1.0,
-          1.0, -1);
-}
-
 void FlatTreeShapValues(const FlatEnsemble& ensemble, size_t t,
                         const double* x, std::vector<double>* phi) {
   std::vector<PathElement> arena(PathArenaSize(ensemble.depth(t)));
   FlatTreeShap(ensemble, t, x, arena.data(), phi->data());
 }
 
-std::vector<double> EnsembleTreeShap(const std::vector<Tree>& trees,
-                                     double scale, size_t num_features,
-                                     const std::vector<double>& x) {
-  std::vector<double> phi(num_features, 0.0);
-  std::vector<double> tree_phi(num_features, 0.0);
-  for (const Tree& t : trees) {
-    std::fill(tree_phi.begin(), tree_phi.end(), 0.0);
-    TreeShapValues(t, x, &tree_phi);
-    for (size_t j = 0; j < num_features; ++j) phi[j] += scale * tree_phi[j];
-  }
-  return phi;
-}
+TreePathGame::TreePathGame(const FlatEnsemble& ensemble, double scale,
+                           std::vector<double> instance)
+    : ensemble_(ensemble), scale_(scale), instance_(std::move(instance)) {}
 
-TreePathGame::TreePathGame(const std::vector<Tree>& trees, double scale,
-                           size_t num_features, std::vector<double> instance)
-    : trees_(trees), scale_(scale), instance_(std::move(instance)) {
-  (void)num_features;
-}
-
-double TreePathGame::NodeExpectation(const Tree& tree, int node,
+double TreePathGame::NodeExpectation(int32_t node,
                                      const std::vector<bool>& s) const {
-  const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-  if (nd.is_leaf()) return nd.value;
-  if (s[static_cast<size_t>(nd.feature)]) {
-    const int next =
-        instance_[static_cast<size_t>(nd.feature)] <= nd.threshold
-            ? nd.left
-            : nd.right;
-    return NodeExpectation(tree, next, s);
+  const FlatEnsemble& e = ensemble_;
+  if (e.is_leaf(node)) return e.value(node);
+  const int f = e.feature(node);
+  if (s[static_cast<size_t>(f)]) {
+    const int32_t next =
+        instance_[static_cast<size_t>(f)] <= e.threshold(node) ? e.left(node)
+                                                               : e.right(node);
+    return NodeExpectation(next, s);
   }
-  const double cl = tree.nodes[static_cast<size_t>(nd.left)].cover;
-  const double cr = tree.nodes[static_cast<size_t>(nd.right)].cover;
-  return (cl * NodeExpectation(tree, nd.left, s) +
-          cr * NodeExpectation(tree, nd.right, s)) /
+  const double cl = e.cover(e.left(node));
+  const double cr = e.cover(e.right(node));
+  return (cl * NodeExpectation(e.left(node), s) +
+          cr * NodeExpectation(e.right(node), s)) /
          (cl + cr);
 }
 
 double TreePathGame::Value(const std::vector<bool>& in_coalition) const {
   double total = 0.0;
-  for (const Tree& t : trees_)
-    total += scale_ * NodeExpectation(t, 0, in_coalition);
+  for (size_t t = 0; t < ensemble_.num_trees(); ++t)
+    total += scale_ * NodeExpectation(ensemble_.root(t), in_coalition);
   return total;
 }
 
@@ -332,7 +292,7 @@ namespace {
 /// DFS state for interventional TreeSHAP: which unique path features were
 /// resolved toward the instance (X) or the reference (B).
 struct InterventionalWalker {
-  const Tree& tree;
+  const FlatEnsemble& tree;
   const std::vector<double>& x;
   const std::vector<double>& ref;
   std::vector<double>* phi;
@@ -341,9 +301,9 @@ struct InterventionalWalker {
   std::vector<int> x_features;
   std::vector<int> b_features;
 
-  void Walk(int node) {
-    const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-    if (nd.is_leaf()) {
+  void Walk(int32_t node) {
+    if (tree.is_leaf(node)) {
+      const double value = tree.value(node);
       const double nx = static_cast<double>(x_features.size());
       const double nb = static_cast<double>(b_features.size());
       if (nx + nb == 0.0) return;  // Same leaf for x and ref: no credit.
@@ -354,20 +314,24 @@ struct InterventionalWalker {
             1.0 / (nx * BinomialCoefficient(static_cast<int>(nx + nb),
                                             static_cast<int>(nb)));
         for (int f : x_features)
-          (*phi)[static_cast<size_t>(f)] += w_pos * nd.value;
+          (*phi)[static_cast<size_t>(f)] += w_pos * value;
       }
       if (!b_features.empty()) {
         const double w_neg =
             1.0 / (nb * BinomialCoefficient(static_cast<int>(nx + nb),
                                             static_cast<int>(nx)));
         for (int f : b_features)
-          (*phi)[static_cast<size_t>(f)] -= w_neg * nd.value;
+          (*phi)[static_cast<size_t>(f)] -= w_neg * value;
       }
       return;
     }
-    const size_t f = static_cast<size_t>(nd.feature);
-    const int x_child = x[f] <= nd.threshold ? nd.left : nd.right;
-    const int b_child = ref[f] <= nd.threshold ? nd.left : nd.right;
+    const int feature = tree.feature(node);
+    const size_t f = static_cast<size_t>(feature);
+    const double threshold = tree.threshold(node);
+    const int32_t x_child =
+        x[f] <= threshold ? tree.left(node) : tree.right(node);
+    const int32_t b_child =
+        ref[f] <= threshold ? tree.left(node) : tree.right(node);
     if (x_child == b_child) {
       Walk(x_child);  // Feature neutral at this node.
       return;
@@ -384,11 +348,11 @@ struct InterventionalWalker {
     }
     // Unseen: branch both ways, assigning the feature each side.
     assignment[f] = 1;
-    x_features.push_back(nd.feature);
+    x_features.push_back(feature);
     Walk(x_child);
     x_features.pop_back();
     assignment[f] = 2;
-    b_features.push_back(nd.feature);
+    b_features.push_back(feature);
     Walk(b_child);
     b_features.pop_back();
     assignment[f] = 0;
@@ -397,19 +361,20 @@ struct InterventionalWalker {
 
 }  // namespace
 
-void InterventionalTreeShap(const Tree& tree, const std::vector<double>& x,
+void InterventionalTreeShap(const FlatEnsemble& ensemble, size_t t,
+                            const std::vector<double>& x,
                             const std::vector<double>& reference,
                             std::vector<double>* phi) {
   XAI_OBS_COUNT("feature.tree_shap.interventional_walks");
-  InterventionalWalker walker{tree, x, reference, phi,
+  InterventionalWalker walker{ensemble, x, reference, phi,
                               std::vector<uint8_t>(x.size(), 0),
                               {},
                               {}};
-  walker.Walk(0);
+  walker.Walk(ensemble.root(t));
 }
 
 std::vector<double> InterventionalEnsembleShap(
-    const std::vector<Tree>& trees, double scale, size_t num_features,
+    const FlatEnsemble& ensemble, double scale, size_t num_features,
     const std::vector<double>& x, const Matrix& background,
     size_t max_background) {
   std::vector<double> phi(num_features, 0.0);
@@ -423,7 +388,8 @@ std::vector<double> InterventionalEnsembleShap(
     ref.assign(background.RowPtr(src),
                background.RowPtr(src) + background.cols());
     std::fill(phi_one.begin(), phi_one.end(), 0.0);
-    for (const Tree& t : trees) InterventionalTreeShap(t, x, ref, &phi_one);
+    for (size_t t = 0; t < ensemble.num_trees(); ++t)
+      InterventionalTreeShap(ensemble, t, x, ref, &phi_one);
     for (size_t j = 0; j < num_features; ++j) phi[j] += scale * phi_one[j];
     ++used;
   }

@@ -10,7 +10,6 @@
 #include "model/decision_tree.h"
 #include "model/flat_tree.h"
 #include "model/gbdt.h"
-#include "model/tree.h"
 
 namespace xai {
 
@@ -19,55 +18,42 @@ namespace xai {
 /// O(L D^2) per instance instead of O(2^d) — the polynomial-time headline
 /// the tutorial highlights in Section 2.1.2 (experiments E1/E2).
 ///
-/// `phi` receives one value per feature; the values satisfy
-///   sum(phi) = tree(x) - tree.ExpectedValue().
+/// Adds the values for tree `t` of a compiled FlatEnsemble into `phi`, one
+/// per feature; they satisfy
+///   sum(phi) = tree_t(x) - ensemble.expected_value(t).
+/// Every node read (feature, threshold, children, cover, leaf value) is an
+/// index into the flat arrays, so prediction and explanation share one
+/// memory layout. The node-object walker this is checked bit-identical
+/// against lives in tests/tree_oracle.h.
 ///
-/// This node-object walker is the *reference* implementation; the serving
-/// path is FlatTreeShapValues below, which runs the same Extend/Unwind
-/// recursion over the compiled SoA arrays and is verified bit-identical.
-///
-/// The recursion keeps its unique-feature path in one arena allocated per
-/// call: each level copies its parent's path (at most depth + 1 elements)
-/// into its own slice, which starts at the parent's slice + the parent's
-/// path length + 1, so a tree of max depth D needs (D + 2)(D + 3) / 2 path
-/// elements and no recursion level allocates.
-void TreeShapValues(const Tree& tree, const std::vector<double>& x,
-                    std::vector<double>* phi);
-
-/// Path-dependent TreeSHAP for tree `t` of a compiled FlatEnsemble: the
-/// identical Extend/Unwind path-weight recursion, but every node read
-/// (feature, threshold, children, cover, leaf value) is an index into the
-/// flat arrays — prediction and explanation share one memory layout.
-/// Bit-identical to TreeShapValues on the tree the ensemble was compiled
-/// from. Allocates one path arena sized from `ensemble.depth(t)`;
-/// TreeShapExplainer instead reuses one arena across all trees and rows of
-/// an Explain/ExplainBatch call.
+/// The recursion keeps its unique-feature path in one arena: each level
+/// copies its parent's path (at most depth + 1 elements) into its own
+/// slice, which starts at the parent's slice + the parent's path length +
+/// 1, so a tree of max depth D needs (D + 2)(D + 3) / 2 path elements and
+/// no recursion level allocates. This entry point allocates one arena
+/// sized from `ensemble.depth(t)`; TreeShapExplainer instead reuses one
+/// arena across all trees and rows of an Explain/ExplainBatch call.
 void FlatTreeShapValues(const FlatEnsemble& ensemble, size_t t,
                         const double* x, std::vector<double>* phi);
 
-/// SHAP values for an additive tree ensemble sum_t scale * tree_t(x) (+
-/// base). Returns one value per feature.
-std::vector<double> EnsembleTreeShap(const std::vector<Tree>& trees,
-                                     double scale, size_t num_features,
-                                     const std::vector<double>& x);
-
-/// The cover-weighted conditional-expectation game TreeSHAP solves:
-///   v(S) = E[tree(x) | x_S]  (descend on S-features, cover-average others).
+/// The cover-weighted conditional-expectation game TreeSHAP solves for
+/// the additive ensemble sum_t scale * tree_t(x):
+///   v(S) = E[f(x) | x_S]  (descend on S-features, cover-average others).
 /// Exponential when fed to ExactShapley — used to verify TreeSHAP's
-/// exactness and to measure the exact-vs-polynomial runtime gap.
+/// exactness and to measure the exact-vs-polynomial runtime gap. The
+/// ensemble must outlive the game.
 class TreePathGame : public CoalitionGame {
  public:
-  TreePathGame(const std::vector<Tree>& trees, double scale,
-               size_t num_features, std::vector<double> instance);
+  TreePathGame(const FlatEnsemble& ensemble, double scale,
+               std::vector<double> instance);
 
   size_t num_players() const override { return instance_.size(); }
   double Value(const std::vector<bool>& in_coalition) const override;
 
  private:
-  double NodeExpectation(const Tree& tree, int node,
-                         const std::vector<bool>& s) const;
+  double NodeExpectation(int32_t node, const std::vector<bool>& s) const;
 
-  const std::vector<Tree>& trees_;
+  const FlatEnsemble& ensemble_;
   double scale_;
   std::vector<double> instance_;
 };
@@ -118,23 +104,26 @@ std::vector<double> GlobalMeanAbsShap(TreeShapExplainer* explainer,
 
 /// *Interventional* TreeSHAP against a single reference row (Lundberg et
 /// al. 2020, "true to the model" variant): exact Shapley values of the
-/// cube game v(S) = tree(x_S combined with reference on ~S), computed in
-/// one tree walk instead of 2^d evaluations. Each root-to-leaf path
-/// partitions its unique split features into X (instance-satisfied) and B
-/// (reference-satisfied); the leaf is a unanimity-minus-blockers game with
-/// closed-form Shapley contribution
+/// cube game v(S) = tree_t(x_S combined with reference on ~S) for tree `t`
+/// of a compiled FlatEnsemble, computed in one tree walk instead of 2^d
+/// evaluations. Each root-to-leaf path partitions its unique split
+/// features into X (instance-satisfied) and B (reference-satisfied); the
+/// leaf is a unanimity-minus-blockers game with closed-form Shapley
+/// contribution
 ///   +v * (|X|-1)! |B|! / (|X|+|B|)!  for i in X,
 ///   -v * |X)! (|B|-1)! / (|X|+|B|)!  for i in B.
-/// Accumulates into `phi`; sum(phi) = tree(x) - tree(reference).
-void InterventionalTreeShap(const Tree& tree, const std::vector<double>& x,
+/// Accumulates into `phi`; sum(phi) = tree_t(x) - tree_t(reference).
+void InterventionalTreeShap(const FlatEnsemble& ensemble, size_t t,
+                            const std::vector<double>& x,
                             const std::vector<double>& reference,
                             std::vector<double>* phi);
 
-/// Interventional SHAP averaged over a background dataset for an additive
-/// ensemble: equals the exact Shapley values of MarginalFeatureGame over
-/// the same background (tests verify the equality).
+/// Interventional SHAP averaged over a background dataset for the additive
+/// ensemble sum_t scale * tree_t(x): equals the exact Shapley values of
+/// MarginalFeatureGame over the same background (tests verify the
+/// equality).
 std::vector<double> InterventionalEnsembleShap(
-    const std::vector<Tree>& trees, double scale, size_t num_features,
+    const FlatEnsemble& ensemble, double scale, size_t num_features,
     const std::vector<double>& x, const Matrix& background,
     size_t max_background = 100);
 

@@ -13,7 +13,8 @@ Result<DecisionTree> DecisionTree::Fit(const Dataset& ds,
                                        const TreeConfig& config) {
   XAI_RETURN_NOT_OK(
       ValidateTrainingInput("DecisionTree", ds.x(), ds.y(), config.train));
-  return FromParts(FitRegressionTree(ds.x(), ds.y(), config), ds.d());
+  XAI_ASSIGN_OR_RETURN(Tree tree, FitRegressionTree(ds.x(), ds.y(), config));
+  return FromParts(std::move(tree), ds.d());
 }
 
 Result<DecisionTree> DecisionTree::FromParts(Tree tree,
@@ -58,6 +59,7 @@ Result<RandomForest> RandomForest::Fit(const Dataset& ds,
   // which thread fits it or how many trees ran before — forest training
   // is bit-identical for any thread count.
   std::vector<Tree> trees(static_cast<size_t>(opts.num_trees));
+  std::vector<Status> fit_status(trees.size());
   GlobalPool().ParallelFor(
       0, trees.size(), 1, [&](size_t t) {
         Rng boot_rng(ChunkSeed(opts.seed, 2 * t));
@@ -65,11 +67,18 @@ Result<RandomForest> RandomForest::Fit(const Dataset& ds,
         for (size_t i = 0; i < ds.n(); ++i)
           rows[i] = static_cast<size_t>(boot_rng.NextInt(ds.n()));
         Rng tree_rng(ChunkSeed(opts.seed, 2 * t + 1));
-        trees[t] = hist ? FitRegressionTreeHist(binned, ds.y(), cfg, nullptr,
-                                                &rows, &tree_rng)
-                        : FitRegressionTree(ds.x(), ds.y(), cfg, nullptr,
-                                            &rows, &tree_rng);
+        if (hist) {
+          trees[t] = FitRegressionTreeHist(binned, ds.y(), cfg, nullptr,
+                                           &rows, &tree_rng);
+        } else if (auto fit = FitRegressionTree(ds.x(), ds.y(), cfg, nullptr,
+                                                &rows, &tree_rng);
+                   fit.ok()) {
+          trees[t] = std::move(fit).value();
+        } else {
+          fit_status[t] = fit.status();
+        }
       });
+  for (const Status& s : fit_status) XAI_RETURN_NOT_OK(s);
   return FromParts(std::move(trees), ds.d());
 }
 

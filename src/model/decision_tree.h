@@ -16,7 +16,8 @@ namespace xai {
 ///
 /// Fit (and FromParts, the deserialization hook) compile the fitted tree
 /// into a FlatEnsemble; Predict/PredictBatch and TreeSHAP all run off the
-/// flat arrays, bit-identical to the node-based Tree reference.
+/// flat arrays, bit-identical to the node-object reference walks in
+/// tests/tree_oracle.h.
 class DecisionTree : public Model {
  public:
   static Result<DecisionTree> Fit(const Dataset& ds,

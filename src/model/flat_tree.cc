@@ -54,9 +54,9 @@ FlatEnsemble FlatEnsemble::Compile(const Tree& tree) {
 
 namespace {
 
-/// One branch-free routing step: go left iff x[feature] <= threshold —
-/// the identical comparison the node-based Tree performs, but consumed as
-/// an array index (compiles to setcc + load, never a conditional jump).
+/// One branch-free routing step: go left iff x[feature] <= threshold,
+/// consumed as an array index (compiles to setcc + load, never a
+/// conditional jump).
 inline int32_t Step(const int32_t* children, const int32_t* feature,
                     const double* threshold, const double* row, int32_t i) {
   const size_t side =

@@ -31,10 +31,14 @@ namespace xai {
 ///     several rows can be traversed as interleaved cursors to hide the
 ///     dependent-load latency.
 ///
-/// Routing decisions are the exact comparisons the node-based `Tree`
-/// performs, so every prediction (and every TreeSHAP cover ratio read off
-/// these arrays) is bit-identical to the pointer-chasing reference — the
-/// determinism contract the eval cache and coalescing service rely on.
+/// This is the only tree runtime: prediction, TreeSHAP, TreePathGame,
+/// interventional SHAP, sufficient reasons, GBDT leaf influence and the
+/// CXPlain surrogate all walk these arrays; `Tree` is only the build and
+/// serialize form. Routing is `x[feature] <= threshold`, so every
+/// prediction (and every TreeSHAP cover ratio read off these arrays) is
+/// bit-identical to the node-object reference walks in tests/tree_oracle.h
+/// — the determinism contract the eval cache and coalescing service rely
+/// on.
 ///
 /// `ExpectedValue` (the cover-weighted leaf average TreeSHAP attributes
 /// against) is computed once per tree at compile time instead of rescanned
@@ -83,7 +87,7 @@ class FlatEnsemble {
 
   /// Global index of the leaf row x lands in under tree t.
   int32_t Leaf(size_t t, const double* x) const;
-  /// Leaf value of tree t on row x (bit-identical to Tree::Predict).
+  /// Leaf value of tree t on row x.
   double PredictTree(size_t t, const double* x) const {
     return value_[static_cast<size_t>(Leaf(t, x))];
   }

@@ -82,14 +82,16 @@ Result<GradientBoostedTrees> GradientBoostedTrees::Fit(const Dataset& ds,
         margin[i] += opts.learning_rate *
                      tree.nodes[static_cast<size_t>(leaf_of_row[i])].value;
     } else {
-      tree = hist ? FitRegressionTreeHist(binned, residual, opts.tree, hess,
-                                          rows_ptr, tree_rng_ptr)
-                  : FitRegressionTree(ds.x(), residual, opts.tree, hess,
-                                      rows_ptr, tree_rng_ptr);
+      if (hist) {
+        tree = FitRegressionTreeHist(binned, residual, opts.tree, hess,
+                                     rows_ptr, tree_rng_ptr);
+      } else {
+        XAI_ASSIGN_OR_RETURN(tree, FitRegressionTree(ds.x(), residual,
+                                                     opts.tree, hess, rows_ptr,
+                                                     tree_rng_ptr));
+      }
       // Subsampled rounds update margins for *all* rows: compile the round
-      // tree and run the branch-free flat accumulation (same leaf, same
-      // scale-and-add as the node walker, so exact-mode output is
-      // unchanged — just no longer the last consumer of the slow path).
+      // tree and run the branch-free flat accumulation.
       const FlatEnsemble one = FlatEnsemble::Compile(tree);
       one.AccumulateTree(0, ds.x(), opts.learning_rate, &margin);
     }

@@ -11,29 +11,6 @@
 
 namespace xai {
 
-double Tree::Predict(const std::vector<double>& x) const {
-  return nodes[LeafIndex(x)].value;
-}
-
-int Tree::LeafIndex(const std::vector<double>& x) const {
-  return LeafIndex(x.data());
-}
-
-int Tree::LeafIndex(const double* x) const {
-  int i = 0;
-  while (!nodes[i].is_leaf()) {
-    const TreeNode& n = nodes[i];
-    i = x[n.feature] <= n.threshold ? n.left : n.right;
-  }
-  return i;
-}
-
-void Tree::AccumulateBatch(const Matrix& x, double scale,
-                           std::vector<double>* out) const {
-  for (size_t i = 0; i < x.rows(); ++i)
-    (*out)[i] += scale * nodes[static_cast<size_t>(LeafIndex(x.RowPtr(i)))].value;
-}
-
 int Tree::MaxDepth() const {
   // Iterative DFS carrying depth.
   int max_depth = 0;
@@ -60,6 +37,10 @@ Status Tree::Validate(size_t num_features) const {
   std::vector<bool> has_parent(n, false);
   for (size_t i = 0; i < n; ++i) {
     const TreeNode& nd = nodes[i];
+    if (!std::isfinite(nd.threshold) || !std::isfinite(nd.value) ||
+        !std::isfinite(nd.cover))
+      return bad(i, "non-finite threshold, value or cover");
+    if (nd.cover < 0.0) return bad(i, "negative cover");
     if (nd.is_leaf()) continue;
     if (static_cast<size_t>(nd.feature) >= num_features)
       return bad(i, "split feature " + std::to_string(nd.feature) +
@@ -218,16 +199,10 @@ class TreeBuilder {
   std::vector<std::pair<double, size_t>> vals_;  // (feature value, row)
 };
 
-}  // namespace
-
-Status ValidateTrainingInput(const char* model, const Matrix& x,
-                             const std::vector<double>& y,
-                             const TrainOptions& train) {
-  const std::string who(model);
-  if (x.rows() == 0) return Status::InvalidArgument(who + ": empty data");
-  if (train.method == TrainMethod::kHist &&
-      (train.max_bins < 2 || train.max_bins > 65536))
-    return Status::InvalidArgument(who + ": max_bins must be in [2, 65536]");
+/// InvalidArgument, prefixed with `who`, naming the first non-finite target
+/// or feature of (x, y).
+Status CheckFinite(const std::string& who, const Matrix& x,
+                   const std::vector<double>& y) {
   for (size_t i = 0; i < x.rows(); ++i) {
     if (!std::isfinite(y[i]))
       return Status::InvalidArgument(who + ": non-finite target at row " +
@@ -242,20 +217,33 @@ Status ValidateTrainingInput(const char* model, const Matrix& x,
   return Status::OK();
 }
 
-Tree FitRegressionTree(const Matrix& x, const std::vector<double>& targets,
-                       const TreeConfig& config,
-                       const std::vector<double>* hessian_weights,
-                       const std::vector<size_t>* row_subset, Rng* rng) {
+}  // namespace
+
+Status ValidateTrainingInput(const char* model, const Matrix& x,
+                             const std::vector<double>& y,
+                             const TrainOptions& train) {
+  const std::string who(model);
+  if (x.rows() == 0) return Status::InvalidArgument(who + ": empty data");
+  if (train.method == TrainMethod::kHist &&
+      (train.max_bins < 2 || train.max_bins > 65536))
+    return Status::InvalidArgument(who + ": max_bins must be in [2, 65536]");
+  return CheckFinite(who, x, y);
+}
+
+Result<Tree> FitRegressionTree(const Matrix& x,
+                               const std::vector<double>& targets,
+                               const TreeConfig& config,
+                               const std::vector<double>* hessian_weights,
+                               const std::vector<size_t>* row_subset,
+                               Rng* rng) {
   if (config.train.method == TrainMethod::kHist) {
-    auto binned = BinnedDataset::Build(x, config.train.max_bins);
-    // A matrix the bin build refuses (empty, or holding NaN/Inf) falls
-    // through to the exact learner, which shares the empty-tree behavior
-    // tests pin down; model Fits reject non-finite input before this.
-    if (binned.ok()) {
-      return FitRegressionTreeHist(*binned, targets, config, hessian_weights,
-                                   row_subset, rng);
-    }
+    XAI_ASSIGN_OR_RETURN(BinnedDataset binned,
+                         BinnedDataset::Build(x, config.train.max_bins));
+    return FitRegressionTreeHist(binned, targets, config, hessian_weights,
+                                 row_subset, rng);
   }
+  // NaN breaks the strict weak ordering the per-node sorts need.
+  XAI_RETURN_NOT_OK(CheckFinite("FitRegressionTree", x, targets));
   XAI_OBS_SPAN("train.fit_tree_exact");
   std::vector<size_t> rows;
   if (row_subset) {

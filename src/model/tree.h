@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "math/matrix.h"
@@ -26,34 +27,25 @@ struct TreeNode {
 };
 
 /// A plain binary regression/score tree: nodes in a flat vector, node 0 is
-/// the root. This is the shared representation behind DecisionTree,
-/// RandomForest and GradientBoostedTrees, and the input to TreeShap.
+/// the root. This is the build and serialize form shared by DecisionTree,
+/// RandomForest and GradientBoostedTrees; every tree walk (prediction,
+/// TreeSHAP, sufficient reasons, influence) runs on the FlatEnsemble
+/// (flat_tree.h) compiled from it.
 struct Tree {
   std::vector<TreeNode> nodes;
 
-  double Predict(const std::vector<double>& x) const;
-  double Predict(const double* x) const { return nodes[LeafIndex(x)].value; }
-  /// Index of the leaf that x lands in.
-  int LeafIndex(const std::vector<double>& x) const;
-  int LeafIndex(const double* x) const;
-
-  /// out[i] += scale * Predict(row i) for every row of x, one LeafIndex
-  /// walk per row. This is the *node-based reference* traversal: serving
-  /// routes through the compiled FlatEnsemble (flat_tree.h) instead, and
-  /// the flat-vs-node equivalence tests and benches compare against this
-  /// path. GBDT training also uses it (trees aren't compiled mid-fit).
-  void AccumulateBatch(const Matrix& x, double scale,
-                       std::vector<double>* out) const;
   int MaxDepth() const;
   size_t NumLeaves() const;
 
-  /// Structural check for trees that did not come from a fit (artifacts,
-  /// hand-built parts): at least one node; every internal node splits on a
-  /// feature < num_features and has two in-range children, each with a
-  /// larger index than its parent and no other parent. Forward-only child
-  /// links make the tree acyclic with depth < nodes.size(), so MaxDepth,
-  /// traversal and the TreeSHAP path arena sized from it all terminate.
-  /// Fitted trees are built in pre-order and always pass.
+  /// Check for trees that did not come from a fit (artifacts, hand-built
+  /// parts): at least one node; every internal node splits on a feature <
+  /// num_features and has two in-range children, each with a larger index
+  /// than its parent and no other parent; every threshold, value and cover
+  /// is finite and every cover is >= 0. Forward-only child links make the
+  /// tree acyclic with depth < nodes.size(), so MaxDepth, traversal and the
+  /// TreeSHAP path arena sized from it all terminate; a NaN or negative
+  /// cover would otherwise reach the cover ratios TreeSHAP and TreePathGame
+  /// divide by and come out as NaN attributions. Fitted trees always pass.
   Status Validate(size_t num_features) const;
 
   /// Expected prediction under the tree's own training distribution
@@ -110,14 +102,19 @@ struct TreeConfig {
 /// boosting with logistic loss. Without weights, leaf value = mean target.
 ///
 /// Dispatches on config.train.method: kHist quantizes x into a
-/// BinnedDataset and runs the histogram learner (hist_learner.h); callers
-/// fitting many trees over the same matrix (forest/GBDT) should build the
+/// BinnedDataset and runs the histogram learner (hist_learner.h), returning
+/// the bin build's error for a matrix it refuses (empty, or holding
+/// NaN/Inf); kExact rejects a non-finite feature or target with
+/// InvalidArgument before it sorts anything. Callers fitting many trees
+/// over the same matrix (forest/GBDT/CXPlain) should build the
 /// BinnedDataset once and call FitRegressionTreeHist directly.
-Tree FitRegressionTree(const Matrix& x, const std::vector<double>& targets,
-                       const TreeConfig& config,
-                       const std::vector<double>* hessian_weights = nullptr,
-                       const std::vector<size_t>* row_subset = nullptr,
-                       Rng* rng = nullptr);
+Result<Tree> FitRegressionTree(const Matrix& x,
+                               const std::vector<double>& targets,
+                               const TreeConfig& config,
+                               const std::vector<double>* hessian_weights =
+                                   nullptr,
+                               const std::vector<size_t>* row_subset = nullptr,
+                               Rng* rng = nullptr);
 
 }  // namespace xai
 

@@ -10,44 +10,48 @@ namespace {
 
 /// DFS over all leaves reachable when free features may take any value.
 /// Returns false as soon as a leaf with the opposite decision is found.
-bool AllReachableLeavesAgree(const Tree& tree, int node,
+bool AllReachableLeavesAgree(const FlatEnsemble& tree, int32_t node,
                              const std::vector<double>& x,
                              const std::vector<bool>& fixed, bool decision,
                              double threshold) {
-  const TreeNode& nd = tree.nodes[static_cast<size_t>(node)];
-  if (nd.is_leaf()) return (nd.value >= threshold) == decision;
-  if (fixed[static_cast<size_t>(nd.feature)]) {
-    const int next = x[static_cast<size_t>(nd.feature)] <= nd.threshold
-                         ? nd.left
-                         : nd.right;
+  if (tree.is_leaf(node)) return (tree.value(node) >= threshold) == decision;
+  const size_t f = static_cast<size_t>(tree.feature(node));
+  if (fixed[f]) {
+    const int32_t next =
+        x[f] <= tree.threshold(node) ? tree.left(node) : tree.right(node);
     return AllReachableLeavesAgree(tree, next, x, fixed, decision,
                                    threshold);
   }
-  return AllReachableLeavesAgree(tree, nd.left, x, fixed, decision,
+  return AllReachableLeavesAgree(tree, tree.left(node), x, fixed, decision,
                                  threshold) &&
-         AllReachableLeavesAgree(tree, nd.right, x, fixed, decision,
+         AllReachableLeavesAgree(tree, tree.right(node), x, fixed, decision,
                                  threshold);
 }
 
 }  // namespace
 
-bool IsSufficientForTree(const Tree& tree, const std::vector<double>& x,
+bool IsSufficientForTree(const FlatEnsemble& tree,
+                         const std::vector<double>& x,
                          const std::vector<size_t>& features,
                          double threshold) {
-  const bool decision = tree.Predict(x) >= threshold;
+  const bool decision = tree.PredictTree(0, x.data()) >= threshold;
   std::vector<bool> fixed(x.size(), false);
   for (size_t f : features) fixed[f] = true;
-  return AllReachableLeavesAgree(tree, 0, x, fixed, decision, threshold);
+  return AllReachableLeavesAgree(tree, tree.root(0), x, fixed, decision,
+                                 threshold);
 }
 
 Result<SufficientReason> MinimalSufficientReason(
-    const Tree& tree, const std::vector<double>& x,
+    const FlatEnsemble& tree, const std::vector<double>& x,
     const SufficientReasonOptions& opts) {
   const size_t d = x.size();
+  if (tree.num_trees() != 1)
+    return Status::InvalidArgument(
+        "MinimalSufficientReason: expects one compiled tree");
   if (!opts.importance_hint.empty() && opts.importance_hint.size() != d)
     return Status::InvalidArgument(
         "MinimalSufficientReason: importance hint size mismatch");
-  const bool decision = tree.Predict(x) >= opts.threshold;
+  const bool decision = tree.PredictTree(0, x.data()) >= opts.threshold;
 
   std::vector<bool> fixed(d, true);
   // Deletion order: least important first (they are cheapest to free).
@@ -61,7 +65,7 @@ Result<SufficientReason> MinimalSufficientReason(
   }
   for (size_t j : order) {
     fixed[j] = false;
-    if (!AllReachableLeavesAgree(tree, 0, x, fixed, decision,
+    if (!AllReachableLeavesAgree(tree, tree.root(0), x, fixed, decision,
                                  opts.threshold)) {
       fixed[j] = true;  // Needed: keep it.
     }
@@ -74,12 +78,12 @@ Result<SufficientReason> MinimalSufficientReason(
 }
 
 std::vector<SufficientReason> EnumerateSufficientReasons(
-    const Tree& tree, const std::vector<double>& x, size_t max_size,
+    const FlatEnsemble& tree, const std::vector<double>& x, size_t max_size,
     double threshold) {
   const size_t d = x.size();
   std::vector<SufficientReason> out;
   if (d > 25) return out;  // Guard against blow-up.
-  const bool decision = tree.Predict(x) >= threshold;
+  const bool decision = tree.PredictTree(0, x.data()) >= threshold;
 
   // Enumerate subsets in increasing size so minimality filtering only has
   // to check previously found (smaller) reasons.

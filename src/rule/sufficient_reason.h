@@ -5,7 +5,7 @@
 
 #include "common/result.h"
 #include "data/dataset.h"
-#include "model/tree.h"
+#include "model/flat_tree.h"
 
 namespace xai {
 
@@ -19,7 +19,9 @@ namespace xai {
 ///
 /// For a single tree the check "do all completions consistent with x_S
 /// reach the same decision?" is computed exactly by traversing the tree
-/// and following both branches of any split on a free feature.
+/// and following both branches of any split on a free feature. The tree
+/// is a compiled single-tree FlatEnsemble (`DecisionTree::flat()`); only
+/// its tree 0 is read.
 
 struct SufficientReason {
   /// Features whose (instance) values form the prime implicant.
@@ -31,7 +33,8 @@ struct SufficientReason {
 /// True iff fixing x's values on `features` entails the tree's decision on
 /// x for all completions (completions range over all real values; a split
 /// on a free feature explores both sides).
-bool IsSufficientForTree(const Tree& tree, const std::vector<double>& x,
+bool IsSufficientForTree(const FlatEnsemble& tree,
+                         const std::vector<double>& x,
                          const std::vector<size_t>& features,
                          double threshold = 0.5);
 
@@ -50,13 +53,13 @@ struct SufficientReasonOptions {
 /// NP-hard for ensembles; for a single tree the greedy result is a prime
 /// implicant).
 Result<SufficientReason> MinimalSufficientReason(
-    const Tree& tree, const std::vector<double>& x,
+    const FlatEnsemble& tree, const std::vector<double>& x,
     const SufficientReasonOptions& opts = SufficientReasonOptions());
 
 /// All sufficient reasons of size <= max_size via bounded search
 /// (exponential in max_size; intended for small d / presentation).
 std::vector<SufficientReason> EnumerateSufficientReasons(
-    const Tree& tree, const std::vector<double>& x, size_t max_size,
+    const FlatEnsemble& tree, const std::vector<double>& x, size_t max_size,
     double threshold = 0.5);
 
 }  // namespace xai

@@ -12,27 +12,29 @@ Result<GbdtLeafInfluence> GbdtLeafInfluence::Create(
   const size_t n = train.n();
   if (n == 0) return Status::InvalidArgument("GbdtInfluence: empty train");
   GbdtLeafInfluence infl(model, n);
-  const auto& trees = model.trees();
-  infl.sample_leaf_.resize(trees.size());
-  infl.leaf_g_.resize(trees.size());
-  infl.leaf_h_.resize(trees.size());
-  infl.sample_g_.resize(trees.size());
-  infl.sample_h_.resize(trees.size());
+  const FlatEnsemble& flat = model.flat();
+  const size_t num_trees = flat.num_trees();
+  infl.sample_leaf_.resize(num_trees);
+  infl.leaf_g_.resize(num_trees);
+  infl.leaf_h_.resize(num_trees);
+  infl.sample_g_.resize(num_trees);
+  infl.sample_h_.resize(num_trees);
 
   // Replay boosting: the trees are fixed, so tracking margins recovers the
-  // per-round gradients/hessians each leaf aggregated at fit time.
+  // per-round gradients/hessians each leaf aggregated at fit time. Leaves
+  // are recorded as node indices within their tree.
   std::vector<double> margin(n, model.base_score());
   const bool logistic =
       model.loss() == GradientBoostedTrees::Loss::kLogistic;
-  for (size_t t = 0; t < trees.size(); ++t) {
-    const Tree& tree = trees[t];
+  for (size_t t = 0; t < num_trees; ++t) {
+    const int32_t root = flat.root(t);
+    const size_t tree_nodes = model.trees()[t].nodes.size();
     infl.sample_leaf_[t].resize(n);
-    infl.leaf_g_[t].assign(tree.nodes.size(), 0.0);
-    infl.leaf_h_[t].assign(tree.nodes.size(), 0.0);
+    infl.leaf_g_[t].assign(tree_nodes, 0.0);
+    infl.leaf_h_[t].assign(tree_nodes, 0.0);
     infl.sample_g_[t].resize(n);
     infl.sample_h_[t].resize(n);
     for (size_t i = 0; i < n; ++i) {
-      const std::vector<double> xi = train.row(i);
       double g;
       double h;
       if (logistic) {
@@ -43,13 +45,14 @@ Result<GbdtLeafInfluence> GbdtLeafInfluence::Create(
         g = train.y()[i] - margin[i];
         h = 1.0;
       }
-      const int leaf = tree.LeafIndex(xi);
-      infl.sample_leaf_[t][i] = leaf;
-      infl.leaf_g_[t][static_cast<size_t>(leaf)] += g;
-      infl.leaf_h_[t][static_cast<size_t>(leaf)] += h;
+      const int32_t leaf = flat.Leaf(t, train.x().RowPtr(i));
+      const int local = leaf - root;
+      infl.sample_leaf_[t][i] = local;
+      infl.leaf_g_[t][static_cast<size_t>(local)] += g;
+      infl.leaf_h_[t][static_cast<size_t>(local)] += h;
       infl.sample_g_[t][i] = g;
       infl.sample_h_[t][i] = h;
-      margin[i] += model.learning_rate() * tree.Predict(xi);
+      margin[i] += model.learning_rate() * flat.value(leaf);
     }
   }
   return infl;
@@ -57,10 +60,10 @@ Result<GbdtLeafInfluence> GbdtLeafInfluence::Create(
 
 std::vector<double> GbdtLeafInfluence::InfluenceOnPrediction(
     const std::vector<double>& x) const {
-  const auto& trees = model_.trees();
+  const FlatEnsemble& flat = model_.flat();
   std::vector<double> out(n_, 0.0);
-  for (size_t t = 0; t < trees.size(); ++t) {
-    const int test_leaf = trees[t].LeafIndex(x);
+  for (size_t t = 0; t < flat.num_trees(); ++t) {
+    const int test_leaf = flat.Leaf(t, x.data()) - flat.root(t);
     const double g = leaf_g_[t][static_cast<size_t>(test_leaf)];
     const double h = leaf_h_[t][static_cast<size_t>(test_leaf)];
     const double value = h > 1e-12 ? g / h : 0.0;

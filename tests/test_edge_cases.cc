@@ -15,6 +15,7 @@
 #include "model/gbdt.h"
 #include "model/knn.h"
 #include "model/logistic_regression.h"
+#include "tree_oracle.h"
 
 namespace xai {
 namespace {
@@ -48,12 +49,17 @@ TEST(EdgeCases, TreeShapStumpAndSingleLeaf) {
   // Single-leaf "tree" (no splits): all attributions zero.
   Tree leaf_only;
   leaf_only.nodes.push_back({-1, 0.0, -1, -1, 3.5, 10.0});
+  const FlatEnsemble flat = FlatEnsemble::Compile(leaf_only);
+  const std::vector<double> x = {1, 2, 3, 4};
   std::vector<double> phi(4, 0.0);
-  TreeShapValues(leaf_only, {1, 2, 3, 4}, &phi);
+  FlatTreeShapValues(flat, 0, x.data(), &phi);
   for (double v : phi) EXPECT_DOUBLE_EQ(v, 0.0);
+  std::vector<double> node_phi(4, 0.0);
+  oracle::TreeShapValues(leaf_only, x, &node_phi);
+  EXPECT_EQ(phi, node_phi);
   // Interventional variant likewise.
   std::vector<double> phi2(4, 0.0);
-  InterventionalTreeShap(leaf_only, {1, 2, 3, 4}, {0, 0, 0, 0}, &phi2);
+  InterventionalTreeShap(flat, 0, x, {0, 0, 0, 0}, &phi2);
   for (double v : phi2) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -64,7 +70,8 @@ TEST(EdgeCases, InterventionalTreeShapIdenticalReference) {
   ASSERT_TRUE(gbdt.ok());
   const std::vector<double> x = ds.row(0);
   std::vector<double> phi(5, 0.0);
-  for (const Tree& t : gbdt->trees()) InterventionalTreeShap(t, x, x, &phi);
+  for (size_t t = 0; t < gbdt->flat().num_trees(); ++t)
+    InterventionalTreeShap(gbdt->flat(), t, x, x, &phi);
   for (double v : phi) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 

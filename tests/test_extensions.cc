@@ -21,6 +21,8 @@
 #include "valuation/distributional_shapley.h"
 
 #include "model/metrics.h"
+#include "obs/obs.h"
+#include "tree_oracle.h"
 
 namespace xai {
 namespace {
@@ -79,7 +81,7 @@ TEST(ShapleyInteractions, RowsSumToShapleyAndTotalToEfficiency) {
 
 // ---------------- Sufficient reasons ----------------
 
-Tree AndTree() {
+FlatEnsemble AndTree() {
   // f = 1 iff x0 > 0.5 and x1 > 0.5 (features 0, 1; feature 2 unused).
   Tree t;
   t.nodes.resize(5);
@@ -88,11 +90,11 @@ Tree AndTree() {
   t.nodes[2] = {1, 0.5, 3, 4, 0.5, 50};    // split x1
   t.nodes[3] = {-1, 0, -1, -1, 0.0, 25};   // x1 <= .5 -> 0
   t.nodes[4] = {-1, 0, -1, -1, 1.0, 25};   // -> 1
-  return t;
+  return FlatEnsemble::Compile(t);
 }
 
 TEST(SufficientReason, AndFunctionPositiveNeedsBoth) {
-  Tree t = AndTree();
+  const FlatEnsemble t = AndTree();
   const std::vector<double> x = {1.0, 1.0, 7.0};
   EXPECT_TRUE(IsSufficientForTree(t, x, {0, 1}));
   EXPECT_FALSE(IsSufficientForTree(t, x, {0}));
@@ -105,7 +107,7 @@ TEST(SufficientReason, AndFunctionPositiveNeedsBoth) {
 }
 
 TEST(SufficientReason, AndFunctionNegativeNeedsOne) {
-  Tree t = AndTree();
+  const FlatEnsemble t = AndTree();
   const std::vector<double> x = {0.0, 1.0, 7.0};  // x0 low -> 0.
   auto reason = MinimalSufficientReason(t, x);
   ASSERT_TRUE(reason.ok());
@@ -114,8 +116,18 @@ TEST(SufficientReason, AndFunctionNegativeNeedsOne) {
   EXPECT_EQ(reason->features, (std::vector<size_t>{0}));
 }
 
+TEST(SufficientReason, RejectsAnythingButOneCompiledTree) {
+  const std::vector<double> x = {1.0, 1.0, 7.0};
+  EXPECT_FALSE(MinimalSufficientReason(FlatEnsemble(), x).ok());
+  Tree leaf;
+  leaf.nodes.push_back({-1, 0, -1, -1, 1.0, 1.0});
+  EXPECT_FALSE(
+      MinimalSufficientReason(
+          FlatEnsemble::Compile(std::vector<Tree>{leaf, leaf}), x).ok());
+}
+
 TEST(SufficientReason, EnumerationFindsAllPrimeImplicants) {
-  Tree t = AndTree();
+  const FlatEnsemble t = AndTree();
   // Both low: either feature alone is a sufficient reason for 0.
   const std::vector<double> x = {0.0, 0.0, 7.0};
   auto reasons = EnumerateSufficientReasons(t, x, 2);
@@ -133,7 +145,7 @@ TEST(SufficientReason, SufficiencyIsSoundOnLearnedTree) {
   Rng rng(5);
   for (size_t i = 0; i < 10; ++i) {
     const std::vector<double> x = ds.row(i);
-    auto reason = MinimalSufficientReason(tree->tree(), x);
+    auto reason = MinimalSufficientReason(tree->flat(), x);
     ASSERT_TRUE(reason.ok());
     std::vector<bool> fixed(ds.d(), false);
     for (size_t f : reason->features) fixed[f] = true;
@@ -150,7 +162,7 @@ TEST(SufficientReason, SufficiencyIsSoundOnLearnedTree) {
       std::vector<size_t> smaller;
       for (size_t g : reason->features)
         if (g != f) smaller.push_back(g);
-      EXPECT_FALSE(IsSufficientForTree(tree->tree(), x, smaller))
+      EXPECT_FALSE(IsSufficientForTree(tree->flat(), x, smaller))
           << "reason not minimal at row " << i;
     }
   }
@@ -339,8 +351,10 @@ TEST(Unlearning, LeafStatisticsMatchRefitWhenStructureStable) {
   ASSERT_TRUE(refit.ok());
   // Same split feature and (nearly) same leaf values.
   EXPECT_EQ(unlearned.nodes[0].feature, refit->tree().nodes[0].feature);
-  EXPECT_NEAR(unlearned.Predict({10.5}), refit->Predict({10.5}), 1e-9);
-  EXPECT_NEAR(unlearned.Predict({-10.5}), refit->Predict({-10.5}), 1e-9);
+  EXPECT_NEAR(oracle::Predict(unlearned, {10.5}), refit->Predict({10.5}),
+              1e-9);
+  EXPECT_NEAR(oracle::Predict(unlearned, {-10.5}), refit->Predict({-10.5}),
+              1e-9);
   EXPECT_DOUBLE_EQ(unlearned.nodes[0].cover, 199.0);
 }
 
@@ -440,6 +454,50 @@ TEST(Cxplain, RanksDominantFeatureFirstOnAverage) {
   }
   EXPECT_GT(avg[0], avg[2]);
   EXPECT_GT(avg[0], avg[3]);
+}
+
+TEST(Cxplain, QuantizesOnceAndMatchesPerFeatureFits) {
+  // With the histogram learner the d per-feature trees share one bin
+  // build, and each is the tree a standalone FitRegressionTree grows on
+  // the same importance targets, node for node.
+  Dataset ds = MakeGaussianDataset(300, {.seed = 85, .dims = 4});
+  auto model = LogisticRegression::Fit(ds);
+  ASSERT_TRUE(model.ok());
+  obs::SetEnabled(true);
+  obs::Counter* builds =
+      obs::MetricsRegistry::Global().GetCounter("train.bin_builds");
+  const uint64_t before = builds->Value();
+  auto cx = CxplainExplainer::Fit(*model, ds);
+  const uint64_t after = builds->Value();
+  obs::SetEnabled(false);
+  ASSERT_TRUE(cx.ok());
+  EXPECT_EQ(after - before, 1u);
+
+  const CxplainOptions opts;
+  ASSERT_LE(ds.n(), opts.max_train_rows);
+  Matrix targets(ds.n(), ds.d());
+  for (size_t i = 0; i < ds.n(); ++i)
+    targets.SetRow(i, cx->DirectImportance(ds.row(i)));
+  std::vector<Tree> trees;
+  for (size_t j = 0; j < ds.d(); ++j) {
+    auto fit = FitRegressionTree(ds.x(), targets.Col(j), opts.tree);
+    ASSERT_TRUE(fit.ok());
+    trees.push_back(*fit);
+  }
+  const FlatEnsemble want = FlatEnsemble::Compile(trees);
+  const FlatEnsemble& got = cx->surrogate();
+  ASSERT_EQ(got.num_trees(), want.num_trees());
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (size_t t = 0; t < want.num_trees(); ++t)
+    EXPECT_EQ(got.root(t), want.root(t));
+  for (int32_t i = 0; i < static_cast<int32_t>(want.num_nodes()); ++i) {
+    EXPECT_EQ(got.feature(i), want.feature(i)) << "node " << i;
+    EXPECT_EQ(got.threshold(i), want.threshold(i)) << "node " << i;
+    EXPECT_EQ(got.left(i), want.left(i)) << "node " << i;
+    EXPECT_EQ(got.right(i), want.right(i)) << "node " << i;
+    EXPECT_EQ(got.value(i), want.value(i)) << "node " << i;
+    EXPECT_EQ(got.cover(i), want.cover(i)) << "node " << i;
+  }
 }
 
 // ---------------- Manifold-constrained counterfactuals ----------------

@@ -2,10 +2,10 @@
 // (label: flat, runs in the TSan CI job).
 //
 // The contract under test: every prediction and every TreeSHAP value
-// produced off the flat SoA arrays is the SAME DOUBLE as the node-based
-// Tree reference — for degenerate single-leaf trees, rows sitting exactly
-// on a split threshold, deep trees, any thread count, and across a
-// serialize -> load -> recompile round trip.
+// produced off the flat SoA arrays is the SAME DOUBLE as the node-object
+// reference walks in tree_oracle.h — for degenerate single-leaf trees, rows
+// sitting exactly on a split threshold, deep trees, any thread count, and
+// across a serialize -> load -> recompile round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include "model/flat_tree.h"
 #include "model/gbdt.h"
 #include "model/serialize.h"
+#include "tree_oracle.h"
 
 namespace xai {
 namespace {
@@ -32,7 +33,7 @@ std::vector<double> NodeMarginBatch(const GradientBoostedTrees& gbdt,
                                     const Matrix& x) {
   std::vector<double> out(x.rows(), gbdt.base_score());
   for (const Tree& t : gbdt.trees())
-    t.AccumulateBatch(x, gbdt.learning_rate(), &out);
+    oracle::AccumulateBatch(t, x, gbdt.learning_rate(), &out);
   return out;
 }
 
@@ -60,10 +61,11 @@ TEST(FlatTree, ForestAndDtreeFlatMatchNodeReferenceExactly) {
   const std::vector<double> dtree_flat = dtree->PredictBatch(ds.x());
   for (size_t i = 0; i < ds.n(); ++i) {
     double node_sum = 0.0;
-    for (const Tree& t : forest->trees()) node_sum += t.Predict(ds.row(i));
+    for (const Tree& t : forest->trees())
+      node_sum += oracle::Predict(t, ds.row(i));
     EXPECT_EQ(forest_flat[i],
               node_sum / static_cast<double>(forest->trees().size()));
-    EXPECT_EQ(dtree_flat[i], dtree->tree().Predict(ds.row(i)));
+    EXPECT_EQ(dtree_flat[i], oracle::Predict(dtree->tree(), ds.row(i)));
   }
 }
 
@@ -149,7 +151,8 @@ TEST(FlatTree, DeepTreeEquivalenceOnRandomRows) {
   }
   const std::vector<double> flat = dtree->PredictBatch(probes);
   for (size_t i = 0; i < probes.rows(); ++i)
-    EXPECT_EQ(flat[i], dtree->tree().Predict(probes.Row(i))) << "row " << i;
+    EXPECT_EQ(flat[i], oracle::Predict(dtree->tree(), probes.Row(i)))
+        << "row " << i;
 }
 
 TEST(FlatTree, ExpectedValuePrecomputedBitExact) {
@@ -173,7 +176,7 @@ TEST(FlatTree, FlatTreeShapMatchesNodeWalkerBitExact) {
     for (size_t t = 0; t < flat.num_trees(); ++t) {
       std::vector<double> node_phi(ds.d(), 0.0);
       std::vector<double> flat_phi(ds.d(), 0.0);
-      TreeShapValues(gbdt->trees()[t], x, &node_phi);
+      oracle::TreeShapValues(gbdt->trees()[t], x, &node_phi);
       FlatTreeShapValues(flat, t, x.data(), &flat_phi);
       for (size_t j = 0; j < ds.d(); ++j)
         EXPECT_EQ(flat_phi[j], node_phi[j]) << "row " << i << " tree " << t;
@@ -186,8 +189,8 @@ TEST(FlatTree, FlatTreeShapMatchesNodeWalkerBitExact) {
     const std::vector<double> x = ds.row(i);
     auto attr = explainer.Explain(x);
     ASSERT_TRUE(attr.ok());
-    const std::vector<double> reference =
-        EnsembleTreeShap(gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
+    const std::vector<double> reference = oracle::EnsembleTreeShap(
+        gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
     double sum = 0.0;
     for (size_t j = 0; j < ds.d(); ++j) {
       EXPECT_EQ(attr->values[j], reference[j]) << "row " << i;
@@ -362,7 +365,7 @@ TEST(FlatTree, PathArenaReusedAcrossDeepShallowAndLeafTrees) {
     for (size_t t = 0; t < trees.size(); ++t) {
       std::vector<double> node_phi(kDims, 0.0);
       std::vector<double> flat_phi(kDims, 0.0);
-      TreeShapValues(trees[t], x, &node_phi);
+      oracle::TreeShapValues(trees[t], x, &node_phi);
       FlatTreeShapValues(flat, t, x.data(), &flat_phi);
       for (size_t j = 0; j < kDims; ++j)
         EXPECT_EQ(flat_phi[j], node_phi[j]) << "row " << i << " tree " << t;
@@ -380,7 +383,7 @@ TEST(FlatTree, PathArenaReusedAcrossDeepShallowAndLeafTrees) {
     EXPECT_EQ(b.base_value, solo->base_value) << "row " << i;
     EXPECT_EQ(b.prediction, solo->prediction) << "row " << i;
     const std::vector<double> reference =
-        EnsembleTreeShap(trees, gbdt->learning_rate(), kDims, x);
+        oracle::EnsembleTreeShap(trees, gbdt->learning_rate(), kDims, x);
     double sum = 0.0;
     for (size_t j = 0; j < kDims; ++j) {
       EXPECT_EQ(b.values[j], solo->values[j]) << "row " << i;

@@ -27,6 +27,7 @@
 #include "model/metrics.h"
 #include "model/tree.h"
 #include "binned_oracle.h"
+#include "tree_oracle.h"
 
 namespace xai {
 namespace {
@@ -377,7 +378,9 @@ TEST(HistLearner, IdenticalTreeOnSingleFeature) {
     x(i, 0) = static_cast<double>(v);
     y[i] = static_cast<double>((v * 2654435761ULL >> 7) & 1);
   }
-  const Tree exact = FitRegressionTree(x, y, ExactConfig(6, 2));
+  auto fit = FitRegressionTree(x, y, ExactConfig(6, 2));
+  ASSERT_TRUE(fit.ok());
+  const Tree& exact = *fit;
   auto binned = BinnedDataset::Build(x, 256);
   ASSERT_TRUE(binned.ok());
   const Tree hist = FitRegressionTreeHist(*binned, y, HistConfig(6, 2));
@@ -391,8 +394,9 @@ TEST(HistLearner, IdenticalStructureOnMultiFeatureIntegerData) {
   // but the structure, covers, leaf values, and every training-row
   // prediction must be identical when sums are exact.
   Dataset ds = MakeIntegerDataset(800, 5, 17, 12);
-  const Tree exact =
-      FitRegressionTree(ds.x(), ds.y(), ExactConfig(6, 5));
+  auto fit = FitRegressionTree(ds.x(), ds.y(), ExactConfig(6, 5));
+  ASSERT_TRUE(fit.ok());
+  const Tree& exact = *fit;
   auto binned = BinnedDataset::Build(ds.x(), 256);
   ASSERT_TRUE(binned.ok());
   const Tree hist =
@@ -400,7 +404,8 @@ TEST(HistLearner, IdenticalStructureOnMultiFeatureIntegerData) {
   ASSERT_GT(exact.nodes.size(), 10u);
   ExpectIdenticalTrees(exact, hist, /*compare_thresholds=*/false);
   for (size_t i = 0; i < ds.n(); ++i) {
-    EXPECT_EQ(exact.Predict(ds.x().RowPtr(i)), hist.Predict(ds.x().RowPtr(i)))
+    EXPECT_EQ(oracle::Predict(exact, ds.x().RowPtr(i)),
+              oracle::Predict(hist, ds.x().RowPtr(i)))
         << "row " << i;
   }
 }
@@ -412,16 +417,17 @@ TEST(HistLearner, HessianWeightedParityWithinEpsilon) {
   std::vector<double> hess(ds.n());
   Rng rng(5);
   for (double& h : hess) h = 0.5 + rng.NextDouble();
-  const Tree exact =
-      FitRegressionTree(ds.x(), ds.y(), ExactConfig(4, 5), &hess);
+  auto fit = FitRegressionTree(ds.x(), ds.y(), ExactConfig(4, 5), &hess);
+  ASSERT_TRUE(fit.ok());
+  const Tree& exact = *fit;
   auto binned = BinnedDataset::Build(ds.x(), 256);
   ASSERT_TRUE(binned.ok());
   const Tree hist =
       FitRegressionTreeHist(*binned, ds.y(), HistConfig(4, 5), &hess);
   ASSERT_EQ(exact.nodes.size(), hist.nodes.size());
   for (size_t i = 0; i < ds.n(); ++i) {
-    EXPECT_NEAR(exact.Predict(ds.x().RowPtr(i)), hist.Predict(ds.x().RowPtr(i)),
-                1e-9);
+    EXPECT_NEAR(oracle::Predict(exact, ds.x().RowPtr(i)),
+                oracle::Predict(hist, ds.x().RowPtr(i)), 1e-9);
   }
 }
 
@@ -582,7 +588,7 @@ TEST(HistLearner, WideU16FeaturesTrainCorrectly) {
   // The label rule is recoverable: training error should be near zero.
   size_t errors = 0;
   for (size_t i = 0; i < n; ++i)
-    if ((tree.Predict(x.RowPtr(i)) >= 0.5) != (y[i] >= 0.5)) ++errors;
+    if ((oracle::Predict(tree, x.RowPtr(i)) >= 0.5) != (y[i] >= 0.5)) ++errors;
   EXPECT_LT(static_cast<double>(errors) / static_cast<double>(n), 0.02);
 }
 
@@ -601,7 +607,8 @@ TEST(HistLearner, LeafOfRowMatchesTreeTraversal) {
   ASSERT_EQ(leaf_of_row.size(), ds.n());
   for (size_t i = 0; i < ds.n(); ++i) {
     ASSERT_GE(leaf_of_row[i], 0);
-    EXPECT_EQ(leaf_of_row[i], tree.LeafIndex(ds.x().RowPtr(i))) << "row " << i;
+    EXPECT_EQ(leaf_of_row[i], oracle::LeafIndex(tree, ds.x().RowPtr(i)))
+        << "row " << i;
   }
 }
 
@@ -697,6 +704,29 @@ TEST(TrainingInput, CsvNanCellIsRejectedAtFit) {
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   ASSERT_TRUE(std::isnan(ds->x()(7, 1)));
   ExpectEveryTreeFitRejects(*ds, HistConfig(3, 2));
+}
+
+TEST(TrainingInput, DirectFitRegressionTreeRejectsNonFinite) {
+  // Called directly, without a model Fit's input check in front: the hist
+  // branch returns the bin build's error instead of falling back to the
+  // exact learner, and the exact branch refuses before it sorts.
+  Dataset nan_x = MakeIntegerDataset(200, 3, 64);
+  nan_x.mutable_x()(17, 1) = std::numeric_limits<double>::quiet_NaN();
+  Dataset inf_y = MakeIntegerDataset(200, 3, 65);
+  inf_y.mutable_y()[5] = -std::numeric_limits<double>::infinity();
+  for (const TreeConfig& cfg : {HistConfig(4, 5), ExactConfig(4, 5)}) {
+    auto a = FitRegressionTree(nan_x.x(), nan_x.y(), cfg);
+    ASSERT_FALSE(a.ok());
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(a.status().ToString().find("feature 1"), std::string::npos)
+        << a.status().ToString();
+  }
+  auto exact = FitRegressionTree(inf_y.x(), inf_y.y(), ExactConfig(4, 5));
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(exact.status().ToString().find("target at row 5"),
+            std::string::npos)
+      << exact.status().ToString();
 }
 
 TEST(TrainingInput, MaxBinsOutOfRangeIsRejectedNotFallenBack) {

@@ -16,6 +16,7 @@
 #include "model/gbdt.h"
 #include "model/linear_regression.h"
 #include "model/logistic_regression.h"
+#include "tree_oracle.h"
 
 namespace xai {
 namespace {
@@ -40,10 +41,15 @@ TEST_P(TreeShapProperty, EfficiencyAndExactness) {
            .tree = {.max_depth = p.max_depth, .min_samples_leaf = 5,
                     .max_features = 0}});
   ASSERT_TRUE(gbdt.ok());
+  TreeShapExplainer explainer(*gbdt, ds.schema());
   for (size_t i = 0; i < 3; ++i) {
     const std::vector<double> x = ds.row(i);
-    std::vector<double> phi =
-        EnsembleTreeShap(gbdt->trees(), gbdt->learning_rate(), p.dims, x);
+    auto attr = explainer.Explain(x);
+    ASSERT_TRUE(attr.ok());
+    const std::vector<double>& phi = attr->values;
+    // Bit-identical to the node-object oracle.
+    EXPECT_EQ(phi, oracle::EnsembleTreeShap(gbdt->trees(),
+                                            gbdt->learning_rate(), p.dims, x));
     // Efficiency against the ensemble's own margin/base.
     double base = gbdt->base_score();
     for (const Tree& t : gbdt->trees())
@@ -52,7 +58,7 @@ TEST_P(TreeShapProperty, EfficiencyAndExactness) {
     for (double v : phi) sum += v;
     EXPECT_NEAR(sum, gbdt->PredictMargin(x), 1e-8);
     // Exactness against subset enumeration.
-    TreePathGame game(gbdt->trees(), gbdt->learning_rate(), p.dims, x);
+    TreePathGame game(gbdt->flat(), gbdt->learning_rate(), x);
     auto exact = ExactShapley(game);
     ASSERT_TRUE(exact.ok());
     for (size_t j = 0; j < p.dims; ++j)
@@ -80,11 +86,11 @@ TEST_P(TreeShapProperty, InterventionalMatchesCubeGameExactly) {
   const std::vector<double> x = ds.row(0);
   const std::vector<double> ref = ds.row(ds.n() - 1);
   std::vector<double> fast(p.dims, 0.0);
-  InterventionalTreeShap(tree->tree(), x, ref, &fast);
+  InterventionalTreeShap(tree->flat(), 0, x, ref, &fast);
   LambdaGame game(p.dims, [&](const std::vector<bool>& s) {
     std::vector<double> z(p.dims);
     for (size_t j = 0; j < p.dims; ++j) z[j] = s[j] ? x[j] : ref[j];
-    return tree->tree().Predict(z);
+    return oracle::Predict(tree->tree(), z);
   });
   auto exact = ExactShapley(game);
   ASSERT_TRUE(exact.ok());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
+#include <string>
 
 #include "data/synthetic.h"
 #include "feature/tree_shap.h"
@@ -191,6 +193,68 @@ TEST(Serialize, FromPartsValidatesTrees) {
   EXPECT_TRUE(ok.Validate(2).ok());
   EXPECT_EQ(ok.Validate(0).code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(DecisionTree::FromParts(ok, 2).ok());
+}
+
+TEST(Serialize, RejectsNonFiniteValuesAndNegativeCover) {
+  // TreeSHAP and TreePathGame divide by cover, so a bad threshold, value
+  // or cover must stop at the loader instead of surfacing as NaN
+  // attributions.
+  Tree good;
+  good.nodes.resize(3);
+  good.nodes[0] = {.feature = 0, .threshold = 0.5, .left = 1, .right = 2,
+                   .value = 0.0, .cover = 10.0};
+  good.nodes[1] = {.feature = -1, .threshold = 0.0, .left = -1, .right = -1,
+                   .value = 1.0, .cover = 6.0};
+  good.nodes[2] = {.feature = -1, .threshold = 0.0, .left = -1, .right = -1,
+                   .value = 2.0, .cover = 4.0};
+  ASSERT_TRUE(good.Validate(2).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    size_t node;
+    double TreeNode::*field;
+    double bad;
+  };
+  const Case cases[] = {
+      {0, &TreeNode::threshold, nan}, {0, &TreeNode::threshold, inf},
+      {1, &TreeNode::value, nan},     {1, &TreeNode::value, -inf},
+      {0, &TreeNode::cover, nan},     {2, &TreeNode::cover, inf},
+      {2, &TreeNode::cover, -1.0},    {1, &TreeNode::cover, -0.5},
+  };
+  for (const Case& c : cases) {
+    Tree bad = good;
+    bad.nodes[c.node].*c.field = c.bad;
+    const Status st = bad.Validate(2);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "node " << c.node;
+    EXPECT_NE(st.ToString().find("tree node " + std::to_string(c.node)),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(DecisionTree::FromParts(bad, 2).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(GradientBoostedTrees::FromParts({bad}, 0.0, 0.1,
+                                              GbdtLoss::kLogistic, 2)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  // A zero cover is allowed (a fit never produces one below a split, but
+  // it is not malformed on its own).
+  Tree zero = good;
+  zero.nodes[2].cover = 0.0;
+  EXPECT_TRUE(zero.Validate(2).ok());
+
+  // The same through a text artifact: leaf 2 with cover -1.
+  const Status dtree = LoadArtifact(
+      "type dtree\nnum_features 2\ntree 3\n"
+      "0 0.5 1 2 0 10\n-1 0 -1 -1 1 5\n-1 0 -1 -1 2 -1\n").status();
+  EXPECT_EQ(dtree.code(), StatusCode::kInvalidArgument) << dtree.ToString();
+  EXPECT_NE(dtree.ToString().find("tree node 2"), std::string::npos)
+      << dtree.ToString();
+  const Status gbdt = LoadArtifact(
+      "type gbdt\nloss logistic\nbase_score 0\nlearning_rate 0.1\n"
+      "num_features 2\nnum_trees 1\ntree 3\n"
+      "0 0.5 1 2 0 10\n-1 0 -1 -1 1 5\n-1 0 -1 -1 2 -1\n").status();
+  EXPECT_EQ(gbdt.code(), StatusCode::kInvalidArgument) << gbdt.ToString();
 }
 
 }  // namespace

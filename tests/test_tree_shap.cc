@@ -8,6 +8,7 @@
 #include "feature/shapley.h"
 #include "model/decision_tree.h"
 #include "model/gbdt.h"
+#include "tree_oracle.h"
 
 namespace xai {
 namespace {
@@ -19,7 +20,7 @@ TEST(TreeShap, EfficiencySingleTree) {
   for (size_t i = 0; i < 20; ++i) {
     std::vector<double> x = ds.row(i);
     std::vector<double> phi(ds.d(), 0.0);
-    TreeShapValues(tree->tree(), x, &phi);
+    FlatTreeShapValues(tree->flat(), 0, x.data(), &phi);
     double sum = 0.0;
     for (double v : phi) sum += v;
     EXPECT_NEAR(sum, tree->Predict(x) - tree->tree().ExpectedValue(), 1e-9)
@@ -31,17 +32,22 @@ TEST(TreeShap, MatchesExactEnumerationSingleTree) {
   Dataset ds = MakeGaussianDataset(300, {.seed = 9, .dims = 8, .rho = 0.0});
   auto tree = DecisionTree::Fit(ds, {.max_depth = 4, .min_samples_leaf = 10});
   ASSERT_TRUE(tree.ok());
-  std::vector<Tree> trees = {tree->tree()};
   for (size_t i = 0; i < 10; ++i) {
     std::vector<double> x = ds.row(i);
     std::vector<double> fast(ds.d(), 0.0);
-    TreeShapValues(tree->tree(), x, &fast);
-    TreePathGame game(trees, 1.0, ds.d(), x);
+    FlatTreeShapValues(tree->flat(), 0, x.data(), &fast);
+    // The node-object oracle solves the same game.
+    std::vector<double> node(ds.d(), 0.0);
+    oracle::TreeShapValues(tree->tree(), x, &node);
+    TreePathGame game(tree->flat(), 1.0, x);
     auto exact = ExactShapley(game);
     ASSERT_TRUE(exact.ok());
-    for (size_t j = 0; j < ds.d(); ++j)
+    for (size_t j = 0; j < ds.d(); ++j) {
       EXPECT_NEAR(fast[j], (*exact)[j], 1e-8)
           << "row " << i << " feature " << j;
+      EXPECT_NEAR(node[j], (*exact)[j], 1e-8)
+          << "row " << i << " feature " << j;
+    }
   }
 }
 
@@ -52,15 +58,16 @@ TEST(TreeShap, MatchesExactEnumerationGbdtEnsemble) {
            .tree = {.max_depth = 3, .min_samples_leaf = 5,
                     .max_features = 0}});
   ASSERT_TRUE(gbdt.ok());
+  TreeShapExplainer explainer(*gbdt, ds.schema());
   for (size_t i = 0; i < 5; ++i) {
     std::vector<double> x = ds.row(i);
-    std::vector<double> fast =
-        EnsembleTreeShap(gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
-    TreePathGame game(gbdt->trees(), gbdt->learning_rate(), ds.d(), x);
+    auto fast = explainer.Explain(x);
+    ASSERT_TRUE(fast.ok());
+    TreePathGame game(gbdt->flat(), gbdt->learning_rate(), x);
     auto exact = ExactShapley(game);
     ASSERT_TRUE(exact.ok());
     for (size_t j = 0; j < ds.d(); ++j)
-      EXPECT_NEAR(fast[j], (*exact)[j], 1e-8);
+      EXPECT_NEAR(fast->values[j], (*exact)[j], 1e-8);
   }
 }
 
@@ -86,7 +93,8 @@ TEST(TreeShap, IrrelevantFeatureGetsZero) {
   tree.nodes[1] = {-1, 0.0, -1, -1, 1.0, 60.0};
   tree.nodes[2] = {-1, 0.0, -1, -1, 5.0, 40.0};
   std::vector<double> phi(3, 0.0);
-  TreeShapValues(tree, {0.2, 9.9, -3.0}, &phi);
+  const double x[] = {0.2, 9.9, -3.0};
+  FlatTreeShapValues(FlatEnsemble::Compile(tree), 0, x, &phi);
   EXPECT_NEAR(phi[1], 0.0, 1e-12);
   EXPECT_NEAR(phi[2], 0.0, 1e-12);
   // Expected value = 0.6*1 + 0.4*5 = 2.6; f(x)=1 -> phi_0 = -1.6.
@@ -101,7 +109,7 @@ TEST(InterventionalTreeShap, SingleReferenceEfficiency) {
     const std::vector<double> x = ds.row(i);
     const std::vector<double> ref = ds.row(ds.n() - 1 - i);
     std::vector<double> phi(ds.d(), 0.0);
-    InterventionalTreeShap(tree->tree(), x, ref, &phi);
+    InterventionalTreeShap(tree->flat(), 0, x, ref, &phi);
     double sum = 0.0;
     for (double v : phi) sum += v;
     EXPECT_NEAR(sum, tree->Predict(x) - tree->Predict(ref), 1e-10)
@@ -118,11 +126,11 @@ TEST(InterventionalTreeShap, MatchesExactCubeGameShapley) {
     const std::vector<double> x = ds.row(trial);
     const std::vector<double> ref = ds.row(100 + trial);
     std::vector<double> fast(ds.d(), 0.0);
-    InterventionalTreeShap(tree->tree(), x, ref, &fast);
+    InterventionalTreeShap(tree->flat(), 0, x, ref, &fast);
     LambdaGame game(ds.d(), [&](const std::vector<bool>& s) {
       std::vector<double> z(ds.d());
       for (size_t j = 0; j < ds.d(); ++j) z[j] = s[j] ? x[j] : ref[j];
-      return tree->tree().Predict(z);
+      return oracle::Predict(tree->tree(), z);
     });
     auto exact = ExactShapley(game);
     ASSERT_TRUE(exact.ok());
@@ -142,7 +150,7 @@ TEST(InterventionalTreeShap, EnsembleMatchesMarginalGameExactShapley) {
   const std::vector<double> x = ds.row(1);
   const size_t kBackground = 30;
   std::vector<double> fast = InterventionalEnsembleShap(
-      gbdt->trees(), gbdt->learning_rate(), ds.d(), x, ds.x(), kBackground);
+      gbdt->flat(), gbdt->learning_rate(), ds.d(), x, ds.x(), kBackground);
   // Exact Shapley of the margin's marginal game with the same background.
   auto margin_model = MakeLambdaModel(ds.d(), [&](const std::vector<double>& v) {
     return gbdt->PredictMargin(v) - gbdt->base_score();

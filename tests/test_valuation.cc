@@ -9,6 +9,7 @@
 #include "math/stats.h"
 #include "model/knn.h"
 #include "model/metrics.h"
+#include "tree_oracle.h"
 #include "valuation/data_valuation.h"
 #include "valuation/gbdt_influence.h"
 #include "valuation/cooks_distance.h"
@@ -232,18 +233,18 @@ TEST(GbdtInfluence, LeafRefitMatchesManualLeafRecomputation) {
   // without it; verify against direct recomputation.
   const Tree& tree = gbdt->trees()[0];
   const std::vector<double> x = train.row(7);
-  const int leaf = tree.LeafIndex(x);
+  const int leaf = oracle::LeafIndex(tree, x);
   std::vector<double> deltas = infl->InfluenceOnPrediction(x);
   // Manual: residuals at round 0 are y - mean(y).
   double base = 0.0;
   for (double y : train.y()) base += y / static_cast<double>(train.n());
   std::vector<double> members;
   for (size_t i = 0; i < train.n(); ++i)
-    if (tree.LeafIndex(train.row(i)) == leaf)
+    if (oracle::LeafIndex(tree, train.row(i)) == leaf)
       members.push_back(train.y()[i] - base);
   const double leaf_value = Mean(members);
   for (size_t i = 0; i < train.n(); ++i) {
-    if (tree.LeafIndex(train.row(i)) != leaf) {
+    if (oracle::LeafIndex(tree, train.row(i)) != leaf) {
       EXPECT_DOUBLE_EQ(deltas[i], 0.0);
       continue;
     }
@@ -290,7 +291,7 @@ TEST(GbdtInfluence, CorrelatesWithActualRemoval) {
         const double p = Sigmoid(margin[i]);
         const double g = train.y()[i] - p;
         const double h = std::max(p * (1.0 - p), 1e-6);
-        const int leaf = tree.LeafIndex(xi);
+        const int leaf = oracle::LeafIndex(tree, xi);
         leaf_of[i] = leaf;
         leaf_g[static_cast<size_t>(leaf)] += g;
         leaf_h[static_cast<size_t>(leaf)] += h;
@@ -303,7 +304,8 @@ TEST(GbdtInfluence, CorrelatesWithActualRemoval) {
         if (i == skip) continue;
         margin[i] += gbdt->learning_rate() * value_of(leaf_of[i]);
       }
-      test_margin += gbdt->learning_rate() * value_of(tree.LeafIndex(x));
+      test_margin +=
+          gbdt->learning_rate() * value_of(oracle::LeafIndex(tree, x));
     }
     return test_margin;
   };
